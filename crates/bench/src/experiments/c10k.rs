@@ -16,7 +16,6 @@
 //! The measurements go to `results/` as CSV and to **`BENCH_scale05.json`**
 //! at the repository root.
 
-use std::fs;
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
@@ -27,8 +26,8 @@ use hdb_server::{Server, ServerConfig};
 use hdb_stats::{Figure, Series};
 
 use crate::datasets::Datasets;
-use crate::output::{emit, note};
-use crate::scale::Scale;
+use crate::output::{emit, note, write_bench_json};
+use crate::scale::{quick_requested, Scale};
 
 /// Interface constant: small enough that drill-downs run deep.
 const K: usize = 10;
@@ -74,8 +73,7 @@ fn connect_patiently(addr: &str) -> RemoteBackend {
 /// connections consume dispatches — an experiment must not record
 /// results from a broken stack.
 pub fn run_c10k(scale: &Scale, datasets: &Datasets) {
-    let quick = std::env::args().any(|a| a == "--quick")
-        || std::env::var("HDB_QUICK").is_ok_and(|v| v == "1" || v == "true");
+    let quick = quick_requested();
     let sessions: usize = std::env::var("HDB_SESSIONS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -245,9 +243,6 @@ pub fn run_c10k(scale: &Scale, datasets: &Datasets) {
         attrs = table.schema().len(),
         reactor = server.reactor_name(),
     );
-    match fs::write("BENCH_scale05.json", &json) {
-        Ok(()) => println!("→ wrote BENCH_scale05.json\n"),
-        Err(e) => eprintln!("warning: failed writing BENCH_scale05.json: {e}"),
-    }
+    write_bench_json("BENCH_scale05.json", &json);
     server.shutdown();
 }

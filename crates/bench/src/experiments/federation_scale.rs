@@ -16,7 +16,6 @@
 //! The measurements go to `results/` as CSV and to **`BENCH_scale06.json`**
 //! at the repository root.
 
-use std::fs;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -28,8 +27,8 @@ use hdb_server::{RunningServer, Server};
 use hdb_stats::{Figure, Series};
 
 use crate::datasets::Datasets;
-use crate::output::{emit, note};
-use crate::scale::Scale;
+use crate::output::{emit, note, write_bench_json};
+use crate::scale::{quick_requested, Scale};
 
 /// Interface constant: small enough that drill-downs run deep.
 const K: usize = 10;
@@ -90,8 +89,7 @@ fn spawn_fleet(table: &Table, parts: usize) -> (Vec<RunningServer>, Topology) {
 /// unrecorded — an experiment must not record results from a broken
 /// stack.
 pub fn run_federation_scale(scale: &Scale, datasets: &Datasets) {
-    let quick = std::env::args().any(|a| a == "--quick")
-        || std::env::var("HDB_QUICK").is_ok_and(|v| v == "1" || v == "true");
+    let quick = quick_requested();
     let passes: u64 = if quick { 6 } else { 24 };
     // The subject under load is the fleet fan-out, not the evaluation
     // kernel; a modest corpus keeps every probe wire-dominated.
@@ -239,8 +237,5 @@ pub fn run_federation_scale(scale: &Scale, datasets: &Datasets) {
         fleets = reference_bits.len(),
         fq = summary.queries,
     );
-    match fs::write("BENCH_scale06.json", &json) {
-        Ok(()) => println!("→ wrote BENCH_scale06.json\n"),
-        Err(e) => eprintln!("warning: failed writing BENCH_scale06.json: {e}"),
-    }
+    write_bench_json("BENCH_scale06.json", &json);
 }

@@ -15,7 +15,6 @@
 //! **`BENCH_scale03.json`** at the repository root — the machine-readable
 //! perf trajectory future PRs diff against.
 
-use std::fs;
 use std::time::Instant;
 
 use hdb_core::UnbiasedSizeEstimator;
@@ -23,7 +22,7 @@ use hdb_interface::{HiddenDb, SessionMode, Table, TopKInterface};
 use hdb_stats::{Figure, Series};
 
 use crate::datasets::Datasets;
-use crate::output::{emit, note};
+use crate::output::{emit, note, write_bench_json};
 use crate::scale::Scale;
 
 /// Interface constant: small enough that drill-downs run deep (the
@@ -125,8 +124,5 @@ pub fn run_incremental_scale(scale: &Scale, datasets: &Datasets) {
         bits = reference.expect("three runs completed"),
         queries = measured[0].1,
     );
-    match fs::write("BENCH_scale03.json", &json) {
-        Ok(()) => println!("→ wrote BENCH_scale03.json\n"),
-        Err(e) => eprintln!("warning: failed writing BENCH_scale03.json: {e}"),
-    }
+    write_bench_json("BENCH_scale03.json", &json);
 }

@@ -21,15 +21,14 @@
 //! The measurements go to `results/` as CSV and to
 //! **`BENCH_scale08.json`** at the repository root.
 
-use std::fs;
 use std::time::Instant;
 
 use hdb_core::UnbiasedSizeEstimator;
 use hdb_interface::{HiddenDb, Table, TraceRing};
 use hdb_stats::{Figure, Series};
 
-use crate::output::{emit, note};
-use crate::scale::Scale;
+use crate::output::{emit, note, write_bench_json};
+use crate::scale::{quick_requested, Scale};
 
 /// Interface constant for the probe workload.
 const K: usize = 10;
@@ -78,8 +77,7 @@ fn median(mut xs: Vec<f64>) -> f64 {
 /// absolute noise floor) — a regression here is a broken contract, not
 /// a slow day.
 pub fn run_observability_scale(scale: &Scale) {
-    let quick = std::env::args().any(|a| a == "--quick")
-        || std::env::var("HDB_QUICK").is_ok_and(|v| v == "1" || v == "true");
+    let quick = quick_requested();
     let (rows, passes, trials) = if quick { (600, 60, 7) } else { (5_000, 200, 15) };
     note("observability tax: µs/probe with metrics on vs stripped, interleaved batches");
 
@@ -178,8 +176,5 @@ pub fn run_observability_scale(scale: &Scale) {
          \"overhead_bar\": {MAX_OVERHEAD},\n  \
          \"trace_ring_pairs_per_sec\": {pairs_per_sec:.0}\n}}\n"
     );
-    match fs::write("BENCH_scale08.json", &json) {
-        Ok(()) => println!("→ wrote BENCH_scale08.json\n"),
-        Err(e) => eprintln!("warning: failed writing BENCH_scale08.json: {e}"),
-    }
+    write_bench_json("BENCH_scale08.json", &json);
 }

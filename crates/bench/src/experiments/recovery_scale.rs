@@ -24,8 +24,8 @@ use hdb_core::UnbiasedSizeEstimator;
 use hdb_interface::{HiddenDb, PersistentBackend, Schema, SyncPolicy, Table, TableBackend, Tuple};
 use hdb_stats::{Figure, Series};
 
-use crate::output::{emit, note};
-use crate::scale::Scale;
+use crate::output::{emit, note, write_bench_json};
+use crate::scale::{quick_requested, Scale};
 
 /// Interface constant for the bit-identity probes.
 const K: usize = 10;
@@ -130,8 +130,7 @@ fn run_one(dir: &Path, records: u64, cadence: u64, passes: u64) -> RecoveryRun {
 /// in-memory reference, or the data directory cannot be created — a
 /// broken durability stack must not produce a benchmark record.
 pub fn run_recovery_scale(scale: &Scale) {
-    let quick = std::env::args().any(|a| a == "--quick")
-        || std::env::var("HDB_QUICK").is_ok_and(|v| v == "1" || v == "true");
+    let quick = quick_requested();
     let passes: u64 = if quick { 4 } else { 12 };
     let wal_lengths: &[u64] = if quick { &[200, 1_000, 4_000] } else { &[1_000, 5_000, 20_000] };
     let cadence_total: u64 = if quick { 1_000 } else { 8_000 };
@@ -229,8 +228,5 @@ pub fn run_recovery_scale(scale: &Scale) {
          \"wal_length_sweep\": [\n{wal_json}\n  ],\n  \
          \"snapshot_cadence_sweep\": [\n{cadence_json}\n  ]\n}}\n"
     );
-    match fs::write("BENCH_scale07.json", &json) {
-        Ok(()) => println!("→ wrote BENCH_scale07.json\n"),
-        Err(e) => eprintln!("warning: failed writing BENCH_scale07.json: {e}"),
-    }
+    write_bench_json("BENCH_scale07.json", &json);
 }

@@ -12,7 +12,6 @@
 //! `results/` as CSV and to **`BENCH_scale04.json`** at the repository
 //! root.
 
-use std::fs;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -25,7 +24,7 @@ use hdb_server::Server;
 use hdb_stats::{Figure, Series};
 
 use crate::datasets::Datasets;
-use crate::output::{emit, note};
+use crate::output::{emit, note, write_bench_json};
 use crate::scale::Scale;
 
 /// Interface constant: small enough that drill-downs run deep.
@@ -207,9 +206,6 @@ pub fn run_remote_scale(scale: &Scale, datasets: &Datasets) {
             m.queries as f64 / m.secs
         },
     );
-    match fs::write("BENCH_scale04.json", &json) {
-        Ok(()) => println!("→ wrote BENCH_scale04.json\n"),
-        Err(e) => eprintln!("warning: failed writing BENCH_scale04.json: {e}"),
-    }
+    write_bench_json("BENCH_scale04.json", &json);
     server.shutdown();
 }

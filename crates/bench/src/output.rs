@@ -34,6 +34,30 @@ pub fn emit(figure: &Figure, stem: &str) {
     }
 }
 
+/// Where a scale experiment's machine-readable record `name` goes: the
+/// workspace root, where the committed perf trajectory lives, for a
+/// full-scale run; `results/` (gitignored) for a quick one, so a smoke
+/// run never overwrites a committed number with reduced-scale ones.
+#[must_use]
+pub fn bench_json_path(name: &str, quick: bool) -> PathBuf {
+    if quick {
+        results_dir().join(name)
+    } else {
+        PathBuf::from(name)
+    }
+}
+
+/// Writes a scale experiment's `BENCH_*.json` record to
+/// [`bench_json_path`] for this run. IO failures are reported to stderr
+/// but never abort an experiment run.
+pub fn write_bench_json(name: &str, json: &str) {
+    let path = bench_json_path(name, crate::scale::quick_requested());
+    match fs::write(&path, json) {
+        Ok(()) => println!("→ wrote {}\n", path.display()),
+        Err(e) => eprintln!("warning: failed writing {}: {e}", path.display()),
+    }
+}
+
 /// Prints a free-form note (section header) for experiment logs.
 pub fn note(text: &str) {
     println!("=== {text} ===");
@@ -53,5 +77,11 @@ mod tests {
         let content = fs::read_to_string(&path).unwrap();
         assert!(content.starts_with("x,s"));
         let _ = fs::remove_file(path);
+    }
+
+    #[test]
+    fn quick_bench_records_stay_out_of_the_workspace_root() {
+        assert_eq!(bench_json_path("BENCH_x.json", false), PathBuf::from("BENCH_x.json"));
+        assert_eq!(bench_json_path("BENCH_x.json", true), results_dir().join("BENCH_x.json"));
     }
 }

@@ -33,9 +33,7 @@ impl Scale {
     /// Resolves the scale from the process arguments and environment.
     #[must_use]
     pub fn from_args() -> Self {
-        let quick = std::env::args().any(|a| a == "--quick")
-            || std::env::var("HDB_QUICK").is_ok_and(|v| v == "1" || v == "true");
-        let mut scale = if quick { Self::quick() } else { Self::paper() };
+        let mut scale = if quick_requested() { Self::quick() } else { Self::paper() };
         if let Some(rows) = env_usize("HDB_ROWS") {
             scale.bool_rows = rows;
             scale.yahoo_rows = rows;
@@ -45,6 +43,14 @@ impl Scale {
         }
         scale
     }
+}
+
+/// Whether this run is a reduced-scale smoke: `--quick` among the
+/// process arguments, or `HDB_QUICK=1` (or `true`) in the environment.
+#[must_use]
+pub fn quick_requested() -> bool {
+    std::env::args().any(|a| a == "--quick")
+        || std::env::var("HDB_QUICK").is_ok_and(|v| v == "1" || v == "true")
 }
 
 fn env_usize(name: &str) -> Option<usize> {

@@ -11,7 +11,7 @@
 //!   schema, the corpus size, a classified top-k [`Evaluation`] of a
 //!   query, and exact COUNT/SUM ground truth for scoring experiments;
 //! * [`TableBackend`] — the default substrate, a single [`Table`] with a
-//!   bitmap [`TableIndex`](crate::TableIndex) (and an optional
+//!   bitmap [`TableIndex`] (and an optional
 //!   linear-scan reference path, [`EvalMode::Scan`]);
 //! * [`ShardedDb`](crate::ShardedDb) and
 //!   [`LatencyBackend`](crate::LatencyBackend) (sibling modules) — the
@@ -28,11 +28,12 @@
 
 use std::any::Any;
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::bitmap::{AndOnesIter, Bitmap, OnesIter};
 use crate::error::{HdbError, Result};
-use crate::index::Selection;
+use crate::index::TableIndex;
 use crate::interface::{QueryOutcome, ReturnedTuple};
 use crate::query::{Predicate, Query};
 use crate::ranking::{RankingFunction, RowIdRanking};
@@ -92,7 +93,8 @@ impl Evaluation {
 /// A drill-down walk session ([`WalkSession`](crate::WalkSession)) keeps
 /// one `WalkState` per committed level: the backend's materialised match
 /// set of that level's query, in whatever representation the backend
-/// chooses (a bitmap for [`TableBackend`], one bitmap per shard for
+/// chooses (a dense bitmap or, for small sets, sorted row ids for
+/// [`TableBackend`]; one such set per shard for
 /// [`ShardedDb`](crate::ShardedDb)). The payload is type-erased so the
 /// session machinery stays backend-agnostic; a state with no payload
 /// simply falls back to fresh [`SearchBackend::evaluate`] calls, which is
@@ -127,11 +129,27 @@ impl WalkState {
         self.payload.as_deref().and_then(<dyn Any + Send + Sync>::downcast_ref)
     }
 
-    /// Consumes the state, recovering the payload for buffer recycling.
+    /// Reuses this (retired) state's payload allocation for a new `T`
+    /// payload: `fill` overwrites the old `T` in place, or a default `T`
+    /// when the state carries none (or another type). This is how a
+    /// backend's `extend_state` recycles a scratch-arena state without
+    /// allocating.
     #[must_use]
-    pub fn take_payload<T: Any>(self) -> Option<T> {
-        self.payload.and_then(|p| p.downcast::<T>().ok()).map(|b| *b)
+    pub fn recycle_into<T>(mut self, fill: impl FnOnce(&mut T)) -> Self
+    where
+        T: Any + Send + Sync + Default,
+    {
+        let reusable = self.payload.as_deref_mut().and_then(<dyn Any + Send + Sync>::downcast_mut);
+        if let Some(t) = reusable {
+            fill(t);
+        } else {
+            let mut t = T::default();
+            fill(&mut t);
+            self.payload = Some(Box::new(t));
+        }
+        self
     }
+
 }
 
 /// Result of the count-only fast path ([`SearchBackend::classify_from`]):
@@ -158,62 +176,193 @@ impl Classified {
     }
 }
 
-/// Owned match-set of one walk node over a single bitmap-indexed table:
-/// `All` until the first predicate commits (the root query of a whole-
-/// database walk constrains nothing — no bitmap materialised), then a
-/// materialised bitmap. Shared by [`TableBackend`] and the per-shard
-/// states of [`ShardedDb`](crate::ShardedDb).
-#[derive(Debug)]
-pub(crate) enum SelState {
-    /// Every row of the table matches.
+/// Walk states expected to match at most `rows / SPARSE_DIVISOR` rows
+/// hold sorted row ids instead of a dense bitmap.
+///
+/// A dense probe costs one AND-popcount pass over `rows / 64` words
+/// whatever the match count; a sparse probe costs one bit test per id.
+/// What decides the crossover is the conversion: reading ids off a dense
+/// AND costs several times a plain dense extend, and a state is probed
+/// only a few times before the walk moves on, so a conversion made too
+/// early is never repaid. Sweep on the 100k×40 `bool_iid` corpus
+/// (k = 10), medians of interleaved runs on a shared 2-vCPU Xeon VM:
+/// HD estimator probes/s through `HiddenDb` (1,000-pass rounds, memo
+/// warm), and mean ns per backend `classify_from`/`extend_state` over
+/// random root-to-leaf descents:
+///
+/// | divisor | sparse at ≤ rows | runs | HD probes/s | classify ns | extend ns |
+/// |--------:|-----------------:|-----:|------------:|------------:|----------:|
+/// | dense only | — | 13 | 304k | 2,376 | 583 |
+/// | 64 | 1,562 | 3 | 512k | 1,306 | 1,101 |
+/// | 128 | 781 | 3 | 555k | 1,228 | 711 |
+/// | **256** | **390** | 13 | **566k** | **1,326** | **642** |
+/// | 512 | 195 | 9 | 584k | 1,530 | 664 |
+/// | 1,024 | 97 | 9 | 513k | 1,614 | 662 |
+///
+/// 256 and 512 are within the host's noise on throughput; 256 keeps the
+/// cheaper probes and extends. Its raw extends average ~10% above
+/// dense-only, the price of one conversion per descent; measured through
+/// `WalkSession` they come out below it, since the session's first
+/// extend now borrows a posting instead of copying 12.5 KB.
+///
+/// The choice only moves time: both representations hold the same row
+/// set, so every result is bit-identical whatever the divisor.
+pub(crate) const SPARSE_DIVISOR: usize = 256;
+
+/// How a [`SelState`]'s match set is held.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+enum Repr {
+    /// Every row of the table matches (no buffer in use).
+    #[default]
     All,
-    /// Exactly the set bits match.
-    Bits(Bitmap),
+    /// Exactly the rows of one posting, read from the index on use
+    /// (nothing copied).
+    Posting(Predicate),
+    /// `bits` holds the match set. `est` is the expected number of
+    /// matches; it only picks the representation of children.
+    Dense { est: usize },
+    /// The first `n` entries of `ids` are the matching rows, ascending
+    /// (the rest is scratch, kept so refills need no clearing).
+    Sparse { n: usize },
+}
+
+/// Owned match set of one walk node over a single bitmap-indexed table:
+/// `All` until the first predicate commits (the root query of a
+/// whole-database walk constrains nothing, so nothing is materialised),
+/// then the one posting that predicate selects, then a dense bitmap, and
+/// sorted row ids once the set is small (see [`SPARSE_DIVISOR`]). Shared
+/// by [`TableBackend`], the per-shard states of
+/// [`ShardedDb`](crate::ShardedDb) and
+/// [`ShardPartBackend`](crate::ShardPartBackend).
+///
+/// A state keeps both buffers when it is retired, so the session's
+/// scratch arena recycles either kind without allocating.
+#[derive(Debug, Default)]
+pub(crate) struct SelState {
+    repr: Repr,
+    bits: Bitmap,
+    ids: Vec<u32>,
 }
 
 impl SelState {
-    pub(crate) fn from_selection(sel: Selection<'_>) -> Self {
-        match sel {
-            Selection::All { .. } => Self::All,
-            Selection::Posting(b) => Self::Bits(b.clone()),
-            Selection::Owned(b) => Self::Bits(b),
-        }
-    }
-
-    /// `|self ∩ posting|` in one pass, no materialisation.
-    pub(crate) fn and_count(&self, posting: &Bitmap) -> usize {
-        match self {
-            Self::All => posting.count(),
-            Self::Bits(b) => b.and_count(posting),
-        }
-    }
-
-    /// Materialises `self ∩ posting`, reusing `recycled`'s buffer when
-    /// one is supplied (the walk-local scratch arena).
-    pub(crate) fn child(&self, posting: &Bitmap, recycled: Option<Bitmap>) -> Bitmap {
-        let mut out = recycled.unwrap_or_else(|| Bitmap::zeros(0));
-        match self {
-            Self::All => out.copy_from(posting),
-            Self::Bits(b) => out.assign_and(b, posting),
+    /// The state of `q`'s match set.
+    pub(crate) fn of_query(index: &TableIndex, q: &Query) -> Self {
+        let mut out = Self::default();
+        match *q.predicates() {
+            [] => {}
+            [pred] => out.assign_posting(index, pred),
+            _ => {
+                out.bits = index.selection(q).into_bitmap();
+                out.repr = Repr::Dense { est: out.bits.count() };
+            }
         }
         out
     }
 
-    /// Iterator over the row ids of `self ∩ posting`, ascending.
-    pub(crate) fn iter_and<'a>(&'a self, posting: &'a Bitmap) -> SelStateOnes<'a> {
-        match self {
-            Self::All => SelStateOnes::Posting(posting.iter_ones()),
-            Self::Bits(b) => SelStateOnes::And(b.iter_and_ones(posting)),
+    /// Makes `self` exactly the rows of `pred`'s posting.
+    fn assign_posting(&mut self, index: &TableIndex, pred: Predicate) {
+        let p = index.posting_of(pred);
+        if p.count() <= p.bits().len() / SPARSE_DIVISOR {
+            self.ids.clear();
+            self.ids.extend(p.bits().iter_ones().map(|r| r as u32));
+            self.repr = Repr::Sparse { n: p.count() };
+        } else {
+            self.repr = Repr::Posting(pred);
         }
     }
 
-    /// Recovers the bitmap buffer for recycling (nothing to recycle from
-    /// an `All` state).
-    pub(crate) fn into_buffer(self) -> Option<Bitmap> {
-        match self {
-            Self::All => None,
-            Self::Bits(b) => Some(b),
+    /// `|self ∩ posting(pred)|` in one pass, no materialisation.
+    pub(crate) fn and_count(&self, index: &TableIndex, pred: Predicate) -> usize {
+        let posting = index.posting_of(pred);
+        match self.repr {
+            Repr::All => posting.count(),
+            Repr::Posting(p) => index.posting_of(p).bits().and_count(posting.bits()),
+            Repr::Dense { .. } => self.bits.and_count(posting.bits()),
+            Repr::Sparse { n } => posting.bits().count_among(&self.ids[..n]),
         }
+    }
+
+    /// Makes `out` the state of `self ∩ posting(pred)`, reusing `out`'s
+    /// buffers (a retired state from the walk-local scratch arena).
+    ///
+    /// A dense parent's child goes sparse when its expected size — the
+    /// parent's times the posting's share of the rows, as if independent
+    /// — is below the crossover: its ids are read straight off the AND,
+    /// and if they outgrow one per dense word (the estimate was far off)
+    /// the child stays dense after all.
+    pub(crate) fn intersect_into(&self, index: &TableIndex, pred: Predicate, out: &mut SelState) {
+        let posting = index.posting_of(pred);
+        let (bits, est) = match self.repr {
+            Repr::All => return out.assign_posting(index, pred),
+            Repr::Sparse { n } => {
+                if out.ids.len() < n {
+                    out.ids.resize(n, 0);
+                }
+                let n = posting.bits().filter_into(&self.ids[..n], &mut out.ids);
+                out.repr = Repr::Sparse { n };
+                return;
+            }
+            Repr::Posting(p) => {
+                let parent = index.posting_of(p);
+                (parent.bits(), parent.count())
+            }
+            Repr::Dense { est } => (&self.bits, est),
+        };
+        let rows = bits.len();
+        let est = est.saturating_mul(posting.count()) / rows.max(1);
+        if est <= rows / SPARSE_DIVISOR {
+            let room = rows / 64 + 64;
+            if out.ids.len() < room {
+                out.ids.resize(room, 0);
+            }
+            if let Some(n) = bits.and_ones_into(posting.bits(), &mut out.ids[..room]) {
+                out.repr = Repr::Sparse { n };
+                return;
+            }
+        }
+        out.bits.assign_and(bits, posting.bits());
+        out.repr = Repr::Dense { est };
+    }
+
+    /// Iterator over the row ids of `self ∩ posting(pred)`, ascending.
+    pub(crate) fn iter_and<'a>(
+        &'a self,
+        index: &'a TableIndex,
+        pred: Predicate,
+    ) -> SelStateOnes<'a> {
+        let posting = index.posting_of(pred).bits();
+        match self.repr {
+            Repr::All => SelStateOnes::Posting(posting.iter_ones()),
+            Repr::Posting(p) => SelStateOnes::And(index.posting_of(p).bits().iter_and_ones(posting)),
+            Repr::Dense { .. } => SelStateOnes::And(self.bits.iter_and_ones(posting)),
+            Repr::Sparse { n } => SelStateOnes::Ids(self.ids[..n].iter(), posting),
+        }
+    }
+
+    /// Whether the state holds row ids (the sparse path).
+    pub(crate) fn is_sparse(&self) -> bool {
+        matches!(self.repr, Repr::Sparse { .. })
+    }
+}
+
+/// Counts the walk states a backend built on the sparse path: the
+/// `hdb_walk_sparse_states_total` series of every backend whose walk
+/// states are [`SelState`]s.
+#[derive(Debug, Default)]
+pub(crate) struct SparseTally(AtomicU64);
+
+impl SparseTally {
+    /// Tallies `state` if it holds row ids.
+    pub(crate) fn note(&self, state: &SelState) {
+        if state.is_sparse() {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Contributes the series to `snap`.
+    pub(crate) fn fill(&self, snap: &mut crate::obs::MetricsSnapshot) {
+        snap.counters
+            .insert("hdb_walk_sparse_states_total".into(), self.0.load(Ordering::Relaxed));
     }
 }
 
@@ -221,6 +370,7 @@ impl SelState {
 pub(crate) enum SelStateOnes<'a> {
     Posting(OnesIter<'a>),
     And(AndOnesIter<'a>),
+    Ids(std::slice::Iter<'a, u32>, &'a Bitmap),
 }
 
 impl Iterator for SelStateOnes<'_> {
@@ -230,6 +380,7 @@ impl Iterator for SelStateOnes<'_> {
         match self {
             Self::Posting(it) => it.next(),
             Self::And(it) => it.next(),
+            Self::Ids(ids, posting) => ids.map(|&r| r as usize).find(|&r| posting.get(r)),
         }
     }
 }
@@ -543,6 +694,7 @@ pub(crate) fn select_candidates<'a>(
 pub struct TableBackend {
     table: Table,
     mode: EvalMode,
+    sparse: SparseTally,
 }
 
 impl TableBackend {
@@ -553,7 +705,7 @@ impl TableBackend {
     /// scan-mode instances never pay for it.
     #[must_use]
     pub fn new(table: Table) -> Self {
-        Self { table, mode: EvalMode::Bitmap }
+        Self { table, mode: EvalMode::Bitmap, sparse: SparseTally::default() }
     }
 
     /// Selects the query-evaluation path (bitmap by default).
@@ -600,6 +752,10 @@ impl SearchBackend for TableBackend {
         self.table.len()
     }
 
+    fn fill_metrics(&self, snap: &mut crate::obs::MetricsSnapshot) {
+        self.sparse.fill(snap);
+    }
+
     fn evaluate(&self, q: &Query, k: usize, ranking: &dyn RankingFunction) -> Result<Evaluation> {
         let schema = self.table.schema();
         Ok(match self.mode {
@@ -643,7 +799,9 @@ impl SearchBackend for TableBackend {
             // scan rather than silently switching it to bitmaps.
             return WalkState::fallback();
         }
-        WalkState::with_payload(SelState::from_selection(self.table.index().selection(q)))
+        let state = SelState::of_query(self.table.index(), q);
+        self.sparse.note(&state);
+        WalkState::with_payload(state)
     }
 
     fn extend_state(
@@ -656,9 +814,10 @@ impl SearchBackend for TableBackend {
         let Some(sel) = parent.payload::<SelState>() else {
             return self.walk_state(child);
         };
-        let posting = self.table.index().posting(pred.attr, pred.value as usize);
-        let buf = recycled.take_payload::<SelState>().and_then(SelState::into_buffer);
-        WalkState::with_payload(SelState::Bits(sel.child(posting, buf)))
+        recycled.recycle_into(|out: &mut SelState| {
+            sel.intersect_into(self.table.index(), pred, out);
+            self.sparse.note(out);
+        })
     }
 
     fn evaluate_from(
@@ -672,10 +831,10 @@ impl SearchBackend for TableBackend {
         let Some(sel) = parent.payload::<SelState>() else {
             return self.evaluate(child, k, ranking);
         };
-        let posting = self.table.index().posting(pred.attr, pred.value as usize);
-        let count = sel.and_count(posting);
+        let index = self.table.index();
+        let count = sel.and_count(index, pred);
         let matches =
-            sel.iter_and(posting).map(|row| (row as TupleId, self.table.tuple(row as TupleId)));
+            sel.iter_and(index, pred).map(|row| (row as TupleId, self.table.tuple(row as TupleId)));
         Ok(Evaluation {
             count,
             top: select_candidates(matches, count, k, self.table.schema(), ranking),
@@ -692,10 +851,10 @@ impl SearchBackend for TableBackend {
         let Some(sel) = parent.payload::<SelState>() else {
             return Ok(Classified::from_evaluation(self.evaluate(child, k, &RowIdRanking)?, k));
         };
-        let posting = self.table.index().posting(pred.attr, pred.value as usize);
-        let count = sel.and_count(posting);
+        let index = self.table.index();
+        let count = sel.and_count(index, pred);
         let page = if (1..=k).contains(&count) {
-            sel.iter_and(posting)
+            sel.iter_and(index, pred)
                 .map(|row| ReturnedTuple {
                     id: row as TupleId,
                     tuple: self.table.tuple(row as TupleId).clone(),
@@ -861,9 +1020,15 @@ mod tests {
         let s = WalkState::with_payload(42u64);
         assert_eq!(s.payload::<u64>(), Some(&42));
         assert_eq!(s.payload::<u32>(), None);
-        assert_eq!(s.take_payload::<u64>(), Some(42));
-        assert_eq!(WalkState::fallback().take_payload::<u64>(), None);
         assert!(WalkState::default().payload::<u64>().is_none());
+        // recycling overwrites a payload of the same type in place ...
+        let s = s.recycle_into(|v: &mut u64| *v += 1);
+        assert_eq!(s.payload::<u64>(), Some(&43));
+        // ... and replaces a foreign or missing one with a filled default
+        let s = WalkState::with_payload("x").recycle_into(|v: &mut u64| *v += 1);
+        assert_eq!(s.payload::<u64>(), Some(&1));
+        let s = WalkState::fallback().recycle_into(|v: &mut u64| *v += 2);
+        assert_eq!(s.payload::<u64>(), Some(&2));
     }
 
     #[test]
@@ -874,5 +1039,184 @@ mod tests {
         assert_eq!(b.exact_count(&Query::all().and(0, 1).unwrap()).unwrap(), 2);
         assert_eq!(b.exact_sum(1, &Query::all()).unwrap(), 10.0 + 30.0 + 20.0 + 30.0);
         assert!(b.exact_sum(9, &Query::all()).is_err());
+    }
+
+    /// Rows of the sparse-path tests: not a multiple of 64, so the last
+    /// word has tail bits, and large enough that `rows / SPARSE_DIVISOR`
+    /// is a real crossover.
+    const ROWS: usize = 3_001;
+    const CAP: usize = ROWS / SPARSE_DIVISOR;
+
+    /// A `ROWS`-row table. Attribute `c` takes value 1 on exactly `CAP`
+    /// rows, 2 on `CAP + 1` rows and 3 on `CAP - 1` rows (the crossover
+    /// and its neighbours), 0 elsewhere; twelve boolean attributes spell
+    /// out a bijective scramble of the row index, which keeps the rows
+    /// distinct and gives postings of every density.
+    fn sparse_table() -> Table {
+        let mut attrs =
+            vec![Attribute::categorical("c", ["0", "1", "2", "3"]).unwrap()];
+        attrs.extend((0..12).map(|j| Attribute::boolean(format!("b{j}"))));
+        let schema = Schema::new(attrs).unwrap();
+        let tuples = (0..ROWS)
+            .map(|i| {
+                let c = match i {
+                    _ if i < CAP => 1,
+                    _ if i < 2 * CAP + 1 => 2,
+                    _ if i < 3 * CAP => 3,
+                    _ => 0,
+                };
+                let x = (i * 0x9E37) % 4096;
+                let mut v = vec![c];
+                v.extend((0..12).map(|j| ((x >> j) & 1) as u16));
+                Tuple::new(v)
+            })
+            .collect();
+        Table::new(schema, tuples).unwrap()
+    }
+
+    fn preds(schema: &Schema) -> Vec<Predicate> {
+        (0..schema.len())
+            .flat_map(|a| (0..schema.fanout(a)).map(move |v| Predicate::new(a, v as u16)))
+            .collect()
+    }
+
+    fn dense(rows: &[u32]) -> SelState {
+        let mut bits = Bitmap::zeros(ROWS);
+        rows.iter().for_each(|&r| bits.set(r as usize));
+        SelState { repr: Repr::Dense { est: rows.len() }, bits, ids: Vec::new() }
+    }
+
+    fn sparse(rows: &[u32]) -> SelState {
+        // scratch past the live prefix must never leak into results
+        let mut ids = rows.to_vec();
+        ids.extend([ROWS as u32 - 1; 5]);
+        SelState { repr: Repr::Sparse { n: rows.len() }, bits: Bitmap::zeros(ROWS), ids }
+    }
+
+    fn row_set(s: &SelState, index: &TableIndex) -> Vec<usize> {
+        match s.repr {
+            Repr::All => (0..index.rows()).collect(),
+            Repr::Posting(p) => index.posting(p.attr, p.value as usize).iter_ones().collect(),
+            Repr::Dense { .. } => s.bits.iter_ones().collect(),
+            Repr::Sparse { n } => s.ids[..n].iter().map(|&r| r as usize).collect(),
+        }
+    }
+
+    #[test]
+    fn dense_and_sparse_states_agree() {
+        let t = sparse_table();
+        let index = t.index();
+        let mut rng = 0x2545_F491_4F6C_DD1Du64;
+        let mut scatter = |n: usize| {
+            let mut rows: Vec<u32> = (0..n)
+                .map(|_| {
+                    rng ^= rng << 13;
+                    rng ^= rng >> 7;
+                    rng ^= rng << 17;
+                    (rng % ROWS as u64) as u32
+                })
+                .collect();
+            rows.sort_unstable();
+            rows.dedup();
+            rows
+        };
+        let sets: Vec<Vec<u32>> = vec![
+            vec![],
+            vec![0],
+            vec![ROWS as u32 - 1],
+            vec![63, 64, ROWS as u32 - 2, ROWS as u32 - 1],
+            scatter(CAP - 1),
+            scatter(CAP),
+            scatter(CAP + 1),
+            scatter(ROWS / 3),
+        ];
+        let preds = preds(t.schema());
+        for set in &sets {
+            let (d, s) = (dense(set), sparse(set));
+            for &pred in &preds {
+                let posting = index.posting(pred.attr, pred.value as usize);
+                let want: Vec<usize> =
+                    set.iter().map(|&r| r as usize).filter(|&r| posting.get(r)).collect();
+                for state in [&d, &s] {
+                    assert_eq!(state.and_count(index, pred), want.len(), "{set:?} {pred:?}");
+                    assert_eq!(state.iter_and(index, pred).collect::<Vec<_>>(), want);
+                    // into a fresh state and into recycled states of both kinds
+                    for mut out in [SelState::default(), dense(&[1, 2]), sparse(&[5; 40])] {
+                        state.intersect_into(index, pred, &mut out);
+                        assert_eq!(row_set(&out, index), want, "{set:?} {pred:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn postings_switch_representation_at_the_crossover() {
+        let t = sparse_table();
+        let index = t.index();
+        for (value, count) in [(3u16, CAP - 1), (1, CAP), (2, CAP + 1)] {
+            let pred = Predicate::new(0, value);
+            assert_eq!(index.value_frequency(0, value as usize), count);
+            let root = SelState::of_query(index, &Query::all().and(0, value).unwrap());
+            let mut child = SelState::default();
+            SelState::default().intersect_into(index, pred, &mut child);
+            for s in [&root, &child] {
+                assert_eq!(s.is_sparse(), count <= CAP, "count {count}");
+                let want: Vec<usize> = index.posting(0, value as usize).iter_ones().collect();
+                assert_eq!(row_set(s, index), want);
+            }
+        }
+        // a dense one-predicate state is the posting itself, nothing copied
+        let root = SelState::of_query(index, &Query::all().and(0, 0).unwrap());
+        assert_eq!(root.repr, Repr::Posting(Predicate::new(0, 0)));
+        assert!(root.bits.is_empty() && root.ids.is_empty());
+    }
+
+    #[test]
+    fn dense_parents_go_sparse_by_estimate_and_fall_back_when_it_is_wrong() {
+        let t = sparse_table();
+        let index = t.index();
+        let pred = Predicate::new(1, 1); // about half the rows
+        let mut out = SelState::default();
+        // small expected and small actual child: sparse
+        let few = dense(&(0..2 * CAP as u32).collect::<Vec<_>>());
+        few.intersect_into(index, pred, &mut out);
+        assert!(out.is_sparse());
+        assert_eq!(row_set(&out, index), few.iter_and(index, pred).collect::<Vec<_>>());
+        // an estimate far below the truth: the id read-out overflows and
+        // the child is dense after all, with the same rows
+        let mut many = dense(&(0..ROWS as u32).collect::<Vec<_>>());
+        many.repr = Repr::Dense { est: 1 };
+        many.intersect_into(index, pred, &mut out);
+        assert!(!out.is_sparse());
+        assert_eq!(row_set(&out, index), many.iter_and(index, pred).collect::<Vec<_>>());
+        // a large expected child stays dense
+        let all = dense(&(0..ROWS as u32).collect::<Vec<_>>());
+        all.intersect_into(index, pred, &mut out);
+        assert!(matches!(out.repr, Repr::Dense { .. }));
+    }
+
+    #[test]
+    fn sparse_walks_match_fresh_evaluation_and_are_tallied() {
+        let b = TableBackend::new(sparse_table());
+        let mut q = Query::all();
+        let mut state = b.walk_state(&q);
+        // drill down the scrambled bits until the match set is tiny
+        for attr in 1..=11 {
+            let pred = Predicate::new(attr, 1);
+            let child = q.and(attr, 1).unwrap();
+            for k in [1usize, 10] {
+                let fresh = b.evaluate(&child, k, &RowIdRanking).unwrap();
+                assert_eq!(b.evaluate_from(&state, &child, pred, k, &RowIdRanking).unwrap(), fresh);
+                let c = b.classify_from(&state, &child, pred, k).unwrap();
+                assert_eq!(c, Classified::from_evaluation(fresh, k));
+            }
+            state = b.extend_state(&state, &child, pred, WalkState::fallback());
+            q = child;
+        }
+        assert!(state.payload::<SelState>().unwrap().is_sparse());
+        let mut snap = crate::obs::MetricsSnapshot::default();
+        b.fill_metrics(&mut snap);
+        assert!(snap.counters["hdb_walk_sparse_states_total"] > 0);
     }
 }

@@ -4,13 +4,20 @@
 //! The hidden-database experiments evaluate millions of conjunctive
 //! queries against tables of a few hundred thousand rows; a flat `u64`
 //! bitset per `(attribute, value)` pair makes each query an AND of `s`
-//! bitsets plus a popcount, which is the dominant cost of the whole
-//! harness. The implementation is deliberately simple — no compression —
-//! because the densities involved (each value matches a sizeable fraction
-//! of rows) make compressed formats slower.
+//! bitsets plus a popcount. Postings stay uncompressed: each value
+//! matches a sizeable fraction of rows, where compressed formats are
+//! slower.
+//!
+//! Walk states are the exception. A deep drill-down node matches a few
+//! dozen rows out of 100k, and ANDing its 1,563-word bitmap against a
+//! posting wastes almost every word. Below a crossover a walk state
+//! therefore holds its matching rows as sorted `u32` ids (see the
+//! backend's `SelState`), and the kernels here that take an id slice
+//! ([`Bitmap::count_among`], [`Bitmap::filter_into`]) test one posting
+//! bit per id instead of scanning every word.
 
 /// A fixed-length bitset over `len` bits backed by `u64` words.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Bitmap {
     words: Vec<u64>,
     len: usize,
@@ -152,6 +159,81 @@ impl Bitmap {
         self.len = other.len;
         self.words.clear();
         self.words.extend_from_slice(&other.words);
+    }
+
+    /// Bit `i` as 0 or 1, for branch-free accumulation. `i < len` is the
+    /// caller's invariant (checked in debug builds only; an index past the
+    /// last word still panics).
+    #[inline]
+    fn bit(&self, i: u32) -> usize {
+        debug_assert!((i as usize) < self.len, "bit {i} out of range (len {})", self.len);
+        ((self.words[i as usize / 64] >> (i % 64)) & 1) as usize
+    }
+
+    /// Number of `ids` whose bit is set: one bit test per id, no branch on
+    /// the bits and no allocation — the count-only probe of a sparse walk
+    /// state.
+    ///
+    /// # Panics
+    /// Panics if an id lies past the last word (debug builds: past `len`).
+    #[must_use]
+    pub fn count_among(&self, ids: &[u32]) -> usize {
+        ids.iter().map(|&i| self.bit(i)).sum()
+    }
+
+    /// Writes the `ids` whose bit is set to the front of `out`, in their
+    /// order, and returns how many there are. Branch-free: every id is
+    /// written and the count advances by its bit, so the cost does not
+    /// depend on how well the bits can be predicted.
+    ///
+    /// # Panics
+    /// Panics if `out` is shorter than `ids`, or if an id lies past the
+    /// last word (debug builds: past `len`).
+    pub fn filter_into(&self, ids: &[u32], out: &mut [u32]) -> usize {
+        let out = &mut out[..ids.len()];
+        let mut n = 0;
+        for &i in ids {
+            out[n] = i;
+            n += self.bit(i);
+        }
+        n
+    }
+
+    /// Writes the set bits of `self & other` to the front of `out` as
+    /// ascending ids and returns how many there are, or `None` (with
+    /// `out` unspecified) as soon as more than `out.len() - 64` of them
+    /// turn up.
+    ///
+    /// Built for sparse results, where most words of the AND are zero or
+    /// hold one bit: each word's first bit is written unconditionally and
+    /// counted by whether the word was non-zero, so only the rare words
+    /// with two or more bits take a data-dependent branch.
+    ///
+    /// # Panics
+    /// Panics if lengths differ, `out` is shorter than 64, or `len`
+    /// exceeds `u32::MAX + 1`.
+    pub fn and_ones_into(&self, other: &Bitmap, out: &mut [u32]) -> Option<usize> {
+        assert_eq!(self.len, other.len, "bitmap length mismatch");
+        assert!(self.len <= 1 << 32, "row ids must fit in u32");
+        // One word adds at most 64 ids before the limit check sees them.
+        let limit = out.len() - 64;
+        let mut n = 0;
+        for (w, (a, b)) in self.words.iter().zip(&other.words).enumerate() {
+            let base = (w * 64) as u32;
+            let mut bits = a & b;
+            out[n] = base.wrapping_add(bits.trailing_zeros());
+            n += usize::from(bits != 0);
+            bits &= bits.wrapping_sub(1);
+            while bits != 0 {
+                out[n] = base + bits.trailing_zeros();
+                n += 1;
+                bits &= bits - 1;
+            }
+            if n > limit {
+                return None;
+            }
+        }
+        Some(n)
     }
 
     /// Iterator over the indices of set bits of `self & other`, ascending,
@@ -395,5 +477,42 @@ mod tests {
         assert!(b.is_empty());
         assert_eq!(b.count(), 0);
         assert_eq!(b.iter_ones().count(), 0);
+    }
+
+    #[test]
+    fn id_kernels_agree_with_bitmap_operations() {
+        let mut a = Bitmap::zeros(200);
+        let mut b = Bitmap::zeros(200);
+        for i in (0..200).step_by(3) {
+            a.set(i);
+        }
+        for i in (0..200).step_by(5).chain([199]) {
+            b.set(i);
+        }
+        let ids: Vec<u32> = a.iter_ones().map(|i| i as u32).chain([199]).collect();
+        let want: Vec<u32> = ids.iter().copied().filter(|&i| b.get(i as usize)).collect();
+        assert_eq!(b.count_among(&ids), want.len());
+        let mut out = vec![7; ids.len()];
+        let n = b.filter_into(&ids, &mut out);
+        assert_eq!(&out[..n], &want[..]);
+        assert_eq!(b.count_among(&[]), 0);
+        assert_eq!(b.filter_into(&[], &mut []), 0);
+        // the AND read-out matches the iterator and respects its room
+        let and: Vec<u32> = a.iter_and_ones(&b).map(|i| i as u32).collect();
+        let mut room = vec![0; and.len() + 64];
+        assert_eq!(a.and_ones_into(&b, &mut room), Some(and.len()));
+        assert_eq!(&room[..and.len()], &and[..]);
+        let mut tight = vec![0; and.len() - 1 + 64];
+        assert_eq!(a.and_ones_into(&b, &mut tight), None);
+        let mut empty = vec![0; 64];
+        assert_eq!(Bitmap::zeros(0).and_ones_into(&Bitmap::zeros(0), &mut empty), Some(0));
+    }
+
+    #[test]
+    fn and_read_out_handles_full_words_and_tail_bits() {
+        let a = Bitmap::ones(130);
+        let mut out = vec![0; 130 + 64];
+        assert_eq!(a.and_ones_into(&a, &mut out), Some(130));
+        assert_eq!(out[..130].to_vec(), (0..130).collect::<Vec<u32>>());
     }
 }

@@ -63,7 +63,9 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use crate::backend::{checked_numeric, Classified, Evaluation, SearchBackend, SelState, WalkState};
+use crate::backend::{
+    checked_numeric, Classified, Evaluation, SearchBackend, SelState, SparseTally, WalkState,
+};
 use crate::error::{HdbError, Result};
 use crate::interface::ReturnedTuple;
 use crate::obs::MetricsSnapshot;
@@ -93,11 +95,13 @@ pub struct ShardPartBackend {
     shard: Shard,
     index: usize,
     parts: usize,
+    sparse: SparseTally,
 }
 
 /// The walk payload of a [`ShardPartBackend`]: the shard-local match-set
 /// state (a newtype so it can never be confused with another backend's
 /// payload).
+#[derive(Default)]
 struct PartWalk(SelState);
 
 impl ShardPartBackend {
@@ -114,7 +118,13 @@ impl ShardPartBackend {
         split(table, parts)
             .into_iter()
             .enumerate()
-            .map(|(index, shard)| Self { schema: schema.clone(), shard, index, parts })
+            .map(|(index, shard)| Self {
+                schema: schema.clone(),
+                shard,
+                index,
+                parts,
+                sparse: SparseTally::default(),
+            })
             .collect()
     }
 
@@ -138,6 +148,10 @@ impl SearchBackend for ShardPartBackend {
 
     fn len(&self) -> usize {
         self.shard.table.len()
+    }
+
+    fn fill_metrics(&self, snap: &mut MetricsSnapshot) {
+        self.sparse.fill(snap);
     }
 
     fn evaluate(&self, q: &Query, k: usize, ranking: &dyn RankingFunction) -> Result<Evaluation> {
@@ -164,9 +178,9 @@ impl SearchBackend for ShardPartBackend {
     }
 
     fn walk_state(&self, q: &Query) -> WalkState {
-        WalkState::with_payload(PartWalk(SelState::from_selection(
-            self.shard.table.index().selection(q),
-        )))
+        let state = SelState::of_query(self.shard.table.index(), q);
+        self.sparse.note(&state);
+        WalkState::with_payload(PartWalk(state))
     }
 
     fn extend_state(
@@ -179,11 +193,11 @@ impl SearchBackend for ShardPartBackend {
         let Some(walk) = parent.payload::<PartWalk>() else {
             return self.walk_state(child);
         };
-        let buf = recycled.take_payload::<PartWalk>().map(|w| SelState::into_buffer(w.0));
-        let posting = self.shard.table.index().posting(pred.attr, pred.value as usize);
-        WalkState::with_payload(PartWalk(SelState::Bits(
-            walk.0.child(posting, buf.unwrap_or_default()),
-        )))
+        let index = self.shard.table.index();
+        recycled.recycle_into(|out: &mut PartWalk| {
+            walk.0.intersect_into(index, pred, &mut out.0);
+            self.sparse.note(&out.0);
+        })
     }
 
     fn evaluate_from(
@@ -214,11 +228,11 @@ impl SearchBackend for ShardPartBackend {
                 k,
             ));
         };
-        let posting = self.shard.table.index().posting(pred.attr, pred.value as usize);
-        let count = walk.0.and_count(posting);
+        let index = self.shard.table.index();
+        let count = walk.0.and_count(index, pred);
         let page = if (1..=k).contains(&count) {
             walk.0
-                .iter_and(posting)
+                .iter_and(index, pred)
                 .map(|row| ReturnedTuple {
                     id: self.shard.ids[row],
                     tuple: self.shard.table.tuple(row as TupleId).clone(),

@@ -7,7 +7,7 @@
 //! implements for us. Estimators never touch it.
 
 use crate::bitmap::{Bitmap, OnesIter};
-use crate::query::Query;
+use crate::query::{Predicate, Query};
 use crate::table::Table;
 use crate::tuple::TupleId;
 
@@ -22,7 +22,7 @@ pub enum Selection<'a> {
         rows: usize,
     },
     /// Exactly the rows of one borrowed posting bitmap.
-    Posting(&'a Bitmap),
+    Posting(Posting<'a>),
     /// A materialised intersection of two or more postings.
     Owned(Bitmap),
 }
@@ -33,7 +33,7 @@ impl Selection<'_> {
     pub fn count(&self) -> usize {
         match self {
             Self::All { rows } => *rows,
-            Self::Posting(b) => b.count(),
+            Self::Posting(p) => p.count(),
             Self::Owned(b) => b.count(),
         }
     }
@@ -42,7 +42,7 @@ impl Selection<'_> {
     pub fn iter_ones(&self) -> SelectionOnes<'_> {
         match self {
             Self::All { rows } => SelectionOnes::All(0..*rows),
-            Self::Posting(b) => SelectionOnes::Bits(b.iter_ones()),
+            Self::Posting(p) => SelectionOnes::Bits(p.bits().iter_ones()),
             Self::Owned(b) => SelectionOnes::Bits(b.iter_ones()),
         }
     }
@@ -52,7 +52,7 @@ impl Selection<'_> {
     pub fn into_bitmap(self) -> Bitmap {
         match self {
             Self::All { rows } => Bitmap::ones(rows),
-            Self::Posting(b) => b.clone(),
+            Self::Posting(p) => p.bits().clone(),
             Self::Owned(b) => b,
         }
     }
@@ -77,11 +77,37 @@ impl Iterator for SelectionOnes<'_> {
     }
 }
 
+/// One posting bitmap together with its cardinality, which the index
+/// counted once at build time.
+#[derive(Clone, Copy, Debug)]
+pub struct Posting<'a> {
+    bits: &'a Bitmap,
+    count: usize,
+}
+
+impl<'a> Posting<'a> {
+    /// The rows with the posting's `(attribute, value)`.
+    #[must_use]
+    pub fn bits(&self) -> &'a Bitmap {
+        self.bits
+    }
+
+    /// Number of rows in the posting (no popcount: cached).
+    #[must_use]
+    pub fn count(&self) -> usize {
+        self.count
+    }
+}
+
 /// Bitmap index over a table.
 #[derive(Clone, Debug)]
 pub struct TableIndex {
     /// `postings[attr][value]` = bitmap of rows with `A_attr = value`.
     postings: Vec<Vec<Bitmap>>,
+    /// `counts[attr][value]` = cardinality of `postings[attr][value]`,
+    /// counted once per build. The index is immutable and every table
+    /// mutation drops it, so the cache can never go stale.
+    counts: Vec<Vec<usize>>,
     rows: usize,
 }
 
@@ -99,7 +125,8 @@ impl TableIndex {
                 postings[attr][value as usize].set(row);
             }
         }
-        Self { postings, rows }
+        let counts = postings.iter().map(|vals| vals.iter().map(Bitmap::count).collect()).collect();
+        Self { postings, counts, rows }
     }
 
     /// Number of rows indexed.
@@ -126,16 +153,16 @@ impl TableIndex {
     /// the intersection (smallest posting first).
     #[must_use]
     pub fn selection(&self, q: &Query) -> Selection<'_> {
-        let mut preds: Vec<&Bitmap> =
-            q.predicates().iter().map(|p| &self.postings[p.attr][p.value as usize]).collect();
+        let mut preds: Vec<Posting<'_>> =
+            q.predicates().iter().map(|&p| self.posting_of(p)).collect();
         match preds.len() {
             0 => Selection::All { rows: self.rows },
             1 => Selection::Posting(preds[0]),
             _ => {
-                preds.sort_by_key(|b| b.count());
-                let mut acc = preds[0].clone();
-                for b in &preds[1..] {
-                    acc.and_with(b);
+                preds.sort_by_key(Posting::count);
+                let mut acc = preds[0].bits.clone();
+                for p in &preds[1..] {
+                    acc.and_with(p.bits);
                 }
                 Selection::Owned(acc)
             }
@@ -151,6 +178,16 @@ impl TableIndex {
         &self.postings[attr][value]
     }
 
+    /// The posting of `pred` with its cached cardinality.
+    ///
+    /// # Panics
+    /// Panics if out of range.
+    #[must_use]
+    pub fn posting_of(&self, pred: Predicate) -> Posting<'_> {
+        let (a, v) = (pred.attr, pred.value as usize);
+        Posting { bits: &self.postings[a][v], count: self.counts[a][v] }
+    }
+
     /// `|Sel(q)|` — the number of tuples matching `q`.
     #[must_use]
     pub fn count(&self, q: &Query) -> usize {
@@ -160,7 +197,7 @@ impl TableIndex {
         };
         match q.predicates().len() {
             0 => self.rows,
-            1 => post(0).count(),
+            1 => self.posting_of(q.predicates()[0]).count(),
             2 => post(0).and_count(post(1)),
             3 => post(0).and_count_3(post(1), post(2)),
             _ => self.selection(q).count(),
@@ -179,7 +216,7 @@ impl TableIndex {
     /// Panics if out of range.
     #[must_use]
     pub fn value_frequency(&self, attr: usize, value: usize) -> usize {
-        self.postings[attr][value].count()
+        self.counts[attr][value]
     }
 }
 
@@ -294,5 +331,24 @@ mod tests {
         assert_eq!(idx.value_frequency(0, 1), 2);
         assert_eq!(idx.value_frequency(4, 0), 5);
         assert_eq!(idx.value_frequency(4, 2), 1);
+    }
+
+    #[test]
+    fn cached_posting_counts_follow_rebuilds() {
+        let mut t = table();
+        for attr in 0..5 {
+            for value in 0..t.schema().fanout(attr) {
+                let pred = Predicate::new(attr, value as u16);
+                let idx = t.index();
+                assert_eq!(idx.posting_of(pred).count(), idx.posting(attr, value).count());
+                assert_eq!(idx.value_frequency(attr, value), idx.posting(attr, value).count());
+            }
+        }
+        assert_eq!(t.index().value_frequency(4, 4), 0);
+        // an ingest drops the index; the rebuilt one counts the new row
+        t.push(Tuple::new(vec![1, 0, 1, 0, 4])).unwrap();
+        assert_eq!(t.index().value_frequency(4, 4), 1);
+        assert_eq!(t.index().count(&Query::all().and(4, 4).unwrap()), 1);
+        assert_eq!(t.index().value_frequency(0, 1), 3);
     }
 }

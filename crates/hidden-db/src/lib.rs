@@ -84,7 +84,7 @@ pub use cache::{CachingInterface, ShardedMemo};
 pub use counter::QueryCounter;
 pub use error::{HdbError, Result};
 pub use federated::{FederatedBackend, FleetConfig, ShardPartBackend, Topology};
-pub use index::{Selection, TableIndex};
+pub use index::{Posting, Selection, TableIndex};
 pub use interface::{HiddenDb, QueryOutcome, ReturnedTuple, TopKInterface};
 pub use session::{ClassifiedOutcome, SessionMode, WalkSession};
 pub use latency::LatencyBackend;

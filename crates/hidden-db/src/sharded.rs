@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use crate::backend::{
     checked_numeric, select_candidates, Classified, Evaluation, ScoreKey, SearchBackend, SelState,
-    WalkState,
+    SparseTally, WalkState,
 };
 use crate::error::Result;
 use crate::interface::ReturnedTuple;
@@ -82,13 +82,13 @@ impl Shard {
         schema: &Schema,
         ranking: &dyn RankingFunction,
     ) -> (usize, Vec<ReturnedTuple>) {
-        let posting = self.table.index().posting(pred.attr, pred.value as usize);
-        let count = sel.and_count(posting);
+        let index = self.table.index();
+        let count = sel.and_count(index, pred);
         if count == 0 {
             return (0, Vec::new());
         }
         let matches =
-            sel.iter_and(posting).map(|row| (self.ids[row], self.table.tuple(row as TupleId)));
+            sel.iter_and(index, pred).map(|row| (self.ids[row], self.table.tuple(row as TupleId)));
         (count, select_candidates(matches, count, k, schema, ranking))
     }
 }
@@ -193,6 +193,7 @@ pub struct ShardedDb {
     /// Persistent helper threads (`workers - 1` of them) for per-probe
     /// shard fan-out; `None` when `workers == 1` (serial evaluation).
     pool: Option<Arc<WorkerPool>>,
+    sparse: SparseTally,
 }
 
 impl ShardedDb {
@@ -208,7 +209,14 @@ impl ShardedDb {
         assert!(shard_count > 0, "a sharded corpus needs at least one shard");
         let schema = table.schema().clone();
         let shards = split(table, shard_count);
-        Self { schema, shards, rows: table.len(), workers: 1, pool: None }
+        Self {
+            schema,
+            shards,
+            rows: table.len(),
+            workers: 1,
+            pool: None,
+            sparse: SparseTally::default(),
+        }
     }
 
     /// Sets how many threads evaluate shards concurrently (default 1).
@@ -297,6 +305,7 @@ impl SearchBackend for ShardedDb {
     }
 
     fn fill_metrics(&self, snap: &mut crate::obs::MetricsSnapshot) {
+        self.sparse.fill(snap);
         if let Some(pool) = &self.pool {
             snap.counters.insert("hdb_pool_jobs_enqueued_total".into(), pool.jobs_enqueued());
             snap.gauges
@@ -333,8 +342,9 @@ impl SearchBackend for ShardedDb {
         let sels: Vec<SelState> = self
             .shards
             .iter()
-            .map(|s| SelState::from_selection(s.table.index().selection(q)))
+            .map(|s| SelState::of_query(s.table.index(), q))
             .collect();
+        sels.iter().for_each(|s| self.sparse.note(s));
         WalkState::with_payload(sels)
     }
 
@@ -348,22 +358,13 @@ impl SearchBackend for ShardedDb {
         let Some(sels) = parent.payload::<Vec<SelState>>() else {
             return self.walk_state(child);
         };
-        let mut buffers: Vec<Option<crate::bitmap::Bitmap>> = recycled
-            .take_payload::<Vec<SelState>>()
-            .map(|v| v.into_iter().map(SelState::into_buffer).collect())
-            .unwrap_or_default();
-        buffers.resize_with(self.shards.len(), || None);
-        let children: Vec<SelState> = self
-            .shards
-            .iter()
-            .zip(sels)
-            .zip(buffers)
-            .map(|((shard, sel), buf)| {
-                let posting = shard.table.index().posting(pred.attr, pred.value as usize);
-                SelState::Bits(sel.child(posting, buf))
-            })
-            .collect();
-        WalkState::with_payload(children)
+        recycled.recycle_into(|children: &mut Vec<SelState>| {
+            children.resize_with(self.shards.len(), SelState::default);
+            for ((shard, sel), out) in self.shards.iter().zip(sels).zip(children) {
+                sel.intersect_into(shard.table.index(), pred, out);
+                self.sparse.note(out);
+            }
+        })
     }
 
     fn evaluate_from(
@@ -400,7 +401,7 @@ impl SearchBackend for ShardedDb {
         // configured (summing is order-independent).
         let count: usize = self
             .per_shard(|i| {
-                sels[i].and_count(self.shards[i].table.index().posting(pred.attr, pred.value as usize))
+                sels[i].and_count(self.shards[i].table.index(), pred)
             })
             .into_iter()
             .sum();
@@ -412,8 +413,7 @@ impl SearchBackend for ShardedDb {
                 .iter()
                 .zip(sels)
                 .flat_map(|(shard, sel)| {
-                    let posting = shard.table.index().posting(pred.attr, pred.value as usize);
-                    sel.iter_and(posting)
+                    sel.iter_and(shard.table.index(), pred)
                         .map(|row| ReturnedTuple {
                             id: shard.ids[row],
                             tuple: shard.table.tuple(row as TupleId).clone(),

@@ -92,6 +92,7 @@ pub struct RecoveryReport {
 
 /// Payload wrapped around the inner backend's walk state, tagging the
 /// ingest generation it was built against.
+#[derive(Default)]
 struct GenState {
     generation: u64,
     inner: WalkState,
@@ -692,19 +693,22 @@ impl SearchBackend for PersistentBackend {
         recycled: WalkState,
     ) -> WalkState {
         let g = self.read();
-        let inner = match parent.payload::<GenState>() {
+        match parent.payload::<GenState>() {
             Some(p) if p.generation == g.generation => {
-                let buf = recycled
-                    .take_payload::<GenState>()
-                    .map_or_else(WalkState::fallback, |p| p.inner);
-                g.backend.extend_state(&p.inner, child, pred, buf)
+                recycled.recycle_into(|out: &mut GenState| {
+                    out.generation = g.generation;
+                    let buf = std::mem::take(&mut out.inner);
+                    out.inner = g.backend.extend_state(&p.inner, child, pred, buf);
+                })
             }
             // Stale generation (the corpus grew since this state was
             // built) or foreign payload: rebuild from scratch —
             // bit-identical, just not incremental.
-            _ => g.backend.walk_state(child),
-        };
-        WalkState::with_payload(GenState { generation: g.generation, inner })
+            _ => WalkState::with_payload(GenState {
+                generation: g.generation,
+                inner: g.backend.walk_state(child),
+            }),
+        }
     }
 
     fn evaluate_from(

@@ -12,8 +12,10 @@ use hdb_core::{
     UnbiasedSizeEstimator,
 };
 use hdb_interface::{
-    Attribute, HiddenDb, Query, Schema, SessionMode, ShardedDb, Table, TopKInterface,
+    Attribute, FederatedBackend, FleetConfig, HiddenDb, Query, Schema, SessionMode,
+    ShardPartBackend, ShardedDb, Table, TopKInterface, Topology,
 };
+use hdb_server::Server;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -290,4 +292,47 @@ fn zigzag_extend_retract_never_leaks_stale_state() {
         }
     }
     assert_eq!(db.queries_issued(), fresh.queries_issued());
+}
+
+/// The value of counter `name` in `snap` (0 when absent).
+fn counter(snap: &hdb_interface::MetricsSnapshot, name: &str) -> u64 {
+    snap.counters.get(name).copied().unwrap_or(0)
+}
+
+/// Sparse walk states (sorted row ids once a node is expected to match
+/// at most `rows / 256` rows) only appear in tables large enough to have
+/// deep nodes that small, which the property tests above never build.
+/// Over a 20k-row corpus the single table, a sharded table and a
+/// served fleet must still run the estimator bit for bit like the fresh
+/// per-query path, and the sparse path must actually have run on each.
+#[test]
+fn sparse_walk_states_keep_runs_bitwise_identical() {
+    let table = hdb_datagen::bool_iid(20_000, 24, 7).expect("valid parameters");
+    let (k, seed, passes) = (10, 0x5EED, 12);
+    let sparse = "hdb_walk_sparse_states_total";
+    let fresh = HiddenDb::new(table.clone(), k).with_session_mode(SessionMode::Fresh);
+    let reference = hd_run(&fresh, seed, passes);
+    assert_eq!(counter(&fresh.metrics(), sparse), 0, "fresh queries build no walk states");
+
+    let incremental = HiddenDb::new(table.clone(), k);
+    assert_eq!(hd_run(&incremental, seed, passes), reference);
+    assert!(counter(&incremental.metrics(), sparse) > 0, "the sparse path never ran");
+
+    let sharded = HiddenDb::over(ShardedDb::new(&table, 3).with_workers(2), k);
+    assert_eq!(hd_run(&sharded, seed, passes), reference);
+    assert!(counter(&sharded.metrics(), sparse) > 0, "no shard went sparse");
+
+    let mut servers = Vec::new();
+    let mut topo = Topology::new();
+    for (i, part) in ShardPartBackend::partition(&table, 2).into_iter().enumerate() {
+        let server = Server::bind(part, "127.0.0.1:0").expect("ephemeral bind");
+        topo.add_replica(i, server.addr().to_string());
+        servers.push(server);
+    }
+    let fleet = FederatedBackend::connect_with(topo, FleetConfig::default()).expect("fleet up");
+    let federated = HiddenDb::over(fleet, k);
+    assert_eq!(hd_run(&federated, seed, passes), reference);
+    for server in &servers {
+        assert!(counter(&server.metrics(), sparse) > 0, "a shard server never went sparse");
+    }
 }
