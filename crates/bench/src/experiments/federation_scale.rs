@@ -45,13 +45,14 @@ struct FleetRun {
     us_per_probe: f64,
 }
 
-/// The fleet tuning for a run: `workers` matched to the fleet width,
-/// then any of the shared fleet flags (`--retries`, `--backoff-ms`,
-/// `--backoff-cap-ms`, `--io-timeout-ms`, `--health-interval-ms` — the
-/// same vocabulary `hdb-server --help` documents) taken from the bench's
-/// command line.
-fn fleet_config(parts: usize) -> FleetConfig {
-    let mut cfg = FleetConfig { workers: parts, ..FleetConfig::default() };
+/// The fleet tuning for a run: the defaults (the fan-out is one
+/// send-all-then-read gather on the calling thread at every fleet width,
+/// so there is no worker count to match), then any of the shared fleet
+/// flags (`--retries`, `--backoff-ms`, `--backoff-cap-ms`,
+/// `--io-timeout-ms`, `--health-interval-ms` — the same vocabulary
+/// `hdb-server --help` documents) taken from the bench's command line.
+fn fleet_config() -> FleetConfig {
+    let mut cfg = FleetConfig::default();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
@@ -107,7 +108,7 @@ pub fn run_federation_scale(scale: &Scale, datasets: &Datasets) {
         let reference = est.run(&local, passes).expect("unlimited interface");
 
         let (servers, topo) = spawn_fleet(table, parts);
-        let federated = FederatedBackend::connect_with(topo, fleet_config(parts)).expect("fleet up");
+        let federated = FederatedBackend::connect_with(topo, fleet_config()).expect("fleet up");
         let db = HiddenDb::over(federated, K);
         let wall = Instant::now();
         let mut est = UnbiasedSizeEstimator::hd(SEED).expect("valid config");
@@ -153,7 +154,7 @@ pub fn run_federation_scale(scale: &Scale, datasets: &Datasets) {
     topo.add_replica(0, standby.addr().to_string());
 
     let federated =
-        Arc::new(FederatedBackend::connect_with(topo, fleet_config(parts)).expect("fleet up"));
+        Arc::new(FederatedBackend::connect_with(topo, fleet_config()).expect("fleet up"));
     let primary = servers.remove(0);
     // Half the healthy 2-server run is a reliable mid-run instant.
     let kill_after = runs

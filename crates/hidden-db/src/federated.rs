@@ -6,13 +6,28 @@
 //! same stable FNV-1a assignment ([`ShardPartBackend::partition`] and
 //! `ShardedDb::new` share one partitioning function), but each shard
 //! lives behind its own server and is reached through a
-//! [`RemoteBackend`]. Every probe fans out across the fleet on the
-//! persistent [`WorkerPool`] and the per-shard partial results are merged
-//! with the same order-independent `(score, id)` semantics the local
-//! sharded backend uses — so a federated evaluation is **bit-identical**
-//! to a local `ShardedDb` over the same table, which is itself
-//! bit-identical to a single [`TableBackend`](crate::TableBackend). The
-//! estimators cannot tell how many machines they are talking to.
+//! [`RemoteBackend`]. The per-shard partial results are merged with the
+//! same order-independent `(score, id)` semantics the local sharded
+//! backend uses — so a federated evaluation is **bit-identical** to a
+//! local `ShardedDb` over the same table, which is itself bit-identical
+//! to a single [`TableBackend`](crate::TableBackend). The estimators
+//! cannot tell how many machines they are talking to.
+//!
+//! ## Fan-out: send every request, then read every reply
+//!
+//! A probe is one *gather* on the calling thread, with no helper threads.
+//! It first writes every shard's request frame (each on a connection
+//! checked out of that shard's [`RemoteBackend`] pool), then reads the
+//! replies in shard order. The servers work on their frames while the
+//! client is still writing or reading the others, so the members' round
+//! trips overlap instead of queueing one behind the other. (The CPU work
+//! each member's request costs, on the client and on its server, still
+//! adds up.)
+//! Failover, retry and re-root paths run inside the read phase, serially,
+//! for the shard that needs them. Reading in shard order keeps every
+//! merge input in a fixed order, and a shard that fails for good drops
+//! the later shards' unread requests, closing those connections, so a
+//! socket never returns to a pool with a stale reply in it.
 //!
 //! ## Fleet layer: topology, health, failover
 //!
@@ -58,7 +73,6 @@
 //!    server (where its session id might coincidentally exist) — the
 //!    probe simply evaluates fresh on the new connection.
 
-use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -69,7 +83,6 @@ use crate::backend::{
 use crate::error::{HdbError, Result};
 use crate::interface::ReturnedTuple;
 use crate::obs::MetricsSnapshot;
-use crate::par::WorkerPool;
 use crate::query::{Predicate, Query};
 use crate::ranking::{RankingFunction, RowIdRanking};
 use crate::remote::RemoteBackend;
@@ -301,13 +314,14 @@ impl Topology {
 // ---------------------------------------------------------------------------
 // FleetConfig
 
-/// Tuning for a [`FederatedBackend`]: fan-out width, failover budget,
-/// backoff pacing, socket limits, and the optional health checker.
+/// Tuning for a [`FederatedBackend`]: failover budget, backoff pacing,
+/// socket limits, and the optional health checker.
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
-    /// Threads evaluating shards concurrently (as
-    /// [`ShardedDb::with_workers`](crate::ShardedDb::with_workers):
-    /// `workers - 1` persistent pool threads plus the caller).
+    /// No longer read: the fleet's fan-out is one gather on the calling
+    /// thread (every shard's request is written before any reply is
+    /// read), whatever this says. The field stays only so that code
+    /// naming it still compiles; it is due for removal.
     pub workers: usize,
     /// Extra connect-and-probe attempts after the first before a probe
     /// gives up with [`HdbError::Transport`]. Each attempt sweeps the
@@ -514,11 +528,20 @@ impl ShardClient {
     /// replica rotation for a survivor. Non-transport errors are typed
     /// answers, not connectivity, and surface immediately. Exhausting the
     /// budget surfaces the last Transport error — the owning `HiddenDb`
-    /// tallies that probe as `Errored`.
-    fn with_client<T>(&self, op: impl Fn(&RemoteBackend) -> Result<T>) -> Result<T> {
+    /// tallies that probe as `Errored`. `first` is the Transport error of
+    /// an attempt already made outside this loop (a gathered request),
+    /// which then counts as the first attempt.
+    fn with_client<T>(
+        &self,
+        first: Option<HdbError>,
+        op: impl Fn(&RemoteBackend) -> Result<T>,
+    ) -> Result<T> {
         let mut delay = self.cfg.backoff;
-        let mut last = HdbError::Transport(format!("shard {}: never attempted", self.index));
-        for attempt in 0..=self.cfg.retries {
+        let start = usize::from(first.is_some());
+        let mut last = first.unwrap_or_else(|| {
+            HdbError::Transport(format!("shard {}: never attempted", self.index))
+        });
+        for attempt in start..=self.cfg.retries {
             if attempt > 0 {
                 std::thread::sleep(delay);
                 delay = (delay * 2).min(self.cfg.backoff_cap);
@@ -542,10 +565,84 @@ impl ShardClient {
         Err(last)
     }
 
+    /// The first half of a fresh request in a gather: `send` writes it on
+    /// the live connection, if there is one. The request is the first
+    /// attempt of the failover budget [`ShardClient::finish`] falls back
+    /// on.
+    fn send_fresh<S>(&self, send: impl FnOnce(&RemoteBackend) -> Result<S>) -> Member<S> {
+        match self.snapshot() {
+            Some((generation, client)) => {
+                let sent = send(&client);
+                Member::Sent { generation, client, sent, first_attempt: true }
+            }
+            None => Member::Unsent,
+        }
+    }
+
+    /// The first half of a walk probe in a gather: `send` writes it from
+    /// this shard's slice of the parent state when the shard still holds
+    /// the connection that produced that slice. A stale slice sends
+    /// nothing: its session id must never reach a different server.
+    fn send_walk<S>(
+        &self,
+        fed: Option<&FedWalk>,
+        send: impl FnOnce(&RemoteBackend, &WalkState) -> Result<S>,
+    ) -> Member<S> {
+        let Some(sw) = fed.and_then(|f| f.shards.get(self.index)) else {
+            return Member::Unsent;
+        };
+        match self.snapshot() {
+            Some((generation, client)) if generation == sw.generation => {
+                let sent = send(&client, &sw.state);
+                Member::Sent { generation, client, sent, first_attempt: false }
+            }
+            _ => Member::Unsent,
+        }
+    }
+
+    /// The second half: `recv` reads the member's reply. A Transport
+    /// failure invalidates the connection, and then — or when nothing was
+    /// sent — `fallback` (a fresh evaluation) runs under the shard's
+    /// failover budget.
+    fn finish<S, T>(
+        &self,
+        member: Member<S>,
+        recv: impl FnOnce(&RemoteBackend, S) -> Result<T>,
+        fallback: impl Fn(&RemoteBackend) -> Result<T>,
+    ) -> Result<T> {
+        let first = match member {
+            Member::Sent { generation, client, sent, first_attempt } => {
+                match sent.and_then(|s| recv(&client, s)) {
+                    Ok(v) => return Ok(v),
+                    Err(HdbError::Transport(e)) => {
+                        self.invalidate(generation);
+                        first_attempt.then_some(HdbError::Transport(e))
+                    }
+                    Err(e) => return Err(e),
+                }
+            }
+            Member::Unsent => None,
+        };
+        self.with_client(first, fallback)
+    }
+
     /// The address currently serving this shard, if any.
     fn current_addr(&self) -> Option<String> {
         self.snapshot().map(|(_, c)| c.addr().to_string())
     }
+}
+
+/// One shard's half-done request in a gather
+/// ([`FederatedBackend::gather`]).
+enum Member<S> {
+    /// Written on the live connection of `generation`; the reply is
+    /// unread (or the write failed, and `sent` holds the error).
+    /// `first_attempt` marks a request that is itself the first attempt
+    /// of the fallback's failover budget (a fresh evaluation), not a walk
+    /// fast path the fallback replaces.
+    Sent { generation: u64, client: Arc<RemoteBackend>, sent: Result<S>, first_attempt: bool },
+    /// Nothing written: the shard is dark, or its walk slice is stale.
+    Unsent,
 }
 
 // ---------------------------------------------------------------------------
@@ -647,17 +744,15 @@ impl Drop for HealthChecker {
 
 /// A [`SearchBackend`] over a fleet of shard servers: hash-partitioned
 /// like [`ShardedDb`](crate::ShardedDb), with each shard behind a
-/// [`RemoteBackend`], fanned out in parallel and merged
-/// order-independently. See the module docs for the fleet layer and the
-/// bit-identicality argument.
+/// [`RemoteBackend`], merged order-independently. Every probe is one
+/// gather on the calling thread: all shards' requests are written before
+/// any reply is read, so the members' round trips overlap. See the
+/// module docs for the fan-out, the fleet layer and the bit-identicality
+/// argument.
 pub struct FederatedBackend {
     schema: Schema,
     len: usize,
     shards: Vec<Arc<ShardClient>>,
-    workers: usize,
-    /// Persistent helper threads for per-probe shard fan-out; `None` when
-    /// `workers == 1`.
-    pool: Option<Arc<WorkerPool>>,
     /// The optional background health thread (joined on drop).
     health: Option<HealthChecker>,
 }
@@ -667,7 +762,6 @@ impl std::fmt::Debug for FederatedBackend {
         f.debug_struct("FederatedBackend")
             .field("shards", &self.shards.len())
             .field("len", &self.len)
-            .field("workers", &self.workers)
             .finish()
     }
 }
@@ -694,7 +788,6 @@ impl FederatedBackend {
         if topology.shards.is_empty() {
             return Err(HdbError::Transport("federated topology has no shards".into()));
         }
-        let workers = cfg.workers.max(1);
         let cfg = Arc::new(cfg);
         let mut shards: Vec<Arc<ShardClient>> = Vec::with_capacity(topology.shards.len());
         let mut schema: Option<Schema> = None;
@@ -743,12 +836,10 @@ impl FederatedBackend {
             return Err(HdbError::Transport("federated topology has no shards".into()));
         };
         let len = shards.iter().map(|s| s.expected_len).sum();
-        let pool = (workers > 1 && shards.len() > 1)
-            .then(|| Arc::new(WorkerPool::new(workers - 1)));
         let health = cfg
             .health_interval
             .and_then(|interval| HealthChecker::spawn(shards.clone(), interval));
-        Ok(Self { schema, len, shards, workers, pool, health })
+        Ok(Self { schema, len, shards, health })
     }
 
     /// Number of shards in the fleet.
@@ -761,12 +852,6 @@ impl FederatedBackend {
     #[must_use]
     pub fn shard_len(&self, i: usize) -> usize {
         self.shards.get(i).map_or(0, |s| s.expected_len)
-    }
-
-    /// The configured evaluation worker count.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// Total failovers so far (connections invalidated after a Transport
@@ -843,108 +928,25 @@ impl FederatedBackend {
         Ok(removed)
     }
 
-    /// Runs one closure per shard — on the persistent pool when one is
-    /// configured, serially otherwise — and returns the results in shard
-    /// order. (Ordering the results is free determinism; the merges are
-    /// order-independent anyway.)
-    fn per_shard<R: Send>(&self, run: impl Fn(usize) -> R + Sync) -> Vec<R> {
-        match &self.pool {
-            None => (0..self.shards.len()).map(run).collect(),
-            Some(pool) => {
-                let mut results = pool
-                    .fan_out(self.shards.len() as u64, |i| Ok::<_, Infallible>(run(i as usize)))
-                    .results;
-                results.sort_unstable_by_key(|&(i, _)| i);
-                results.into_iter().map(|(_, r)| r).collect()
-            }
-        }
-    }
-
-    /// Fallible [`FederatedBackend::per_shard`]: the first shard error
-    /// stops the fan-out and surfaces (the probe then tallies as
-    /// `Errored` in the owning `HiddenDb`).
-    fn try_per_shard<R: Send>(&self, run: impl Fn(usize) -> Result<R> + Sync) -> Result<Vec<R>> {
-        match &self.pool {
-            None => (0..self.shards.len()).map(run).collect(),
-            Some(pool) => {
-                let out = pool.fan_out(self.shards.len() as u64, |i| run(i as usize));
-                if let Some(e) = out.error {
-                    return Err(e);
-                }
-                let mut results = out.results;
-                if results.len() != self.shards.len() {
-                    return Err(HdbError::Transport("shard fan-out stopped early".into()));
-                }
-                results.sort_unstable_by_key(|&(i, _)| i);
-                Ok(results.into_iter().map(|(_, r)| r).collect())
-            }
-        }
-    }
-
-    /// The walk slice for shard `i` from a federated parent state, if the
-    /// parent has one for this shard and its generation is still current.
-    fn usable_walk<'a>(&self, fed: Option<&'a FedWalk>, i: usize) -> Option<&'a ShardWalk> {
-        let fed = fed?;
-        let sw = fed.shards.get(i)?;
-        (sw.generation > 0).then_some(sw)
-    }
-
-    /// One shard's partial for an incremental evaluate probe: the walk
-    /// fast path when the shard connection still matches the state's
-    /// generation, failover + fresh evaluation otherwise.
-    fn shard_eval_from(
+    /// The fleet's one fan-out, run on the calling thread in two phases:
+    /// `send` writes every shard's request, then `recv` reads the replies
+    /// in shard order and folds each into `acc`. The members' round trips
+    /// therefore overlap instead of adding up, while the shard order of
+    /// the replies — and so every merge — stays fixed. When a shard fails
+    /// for good its error surfaces and the later shards' unread requests
+    /// are dropped, closing their connections: a connection whose reply
+    /// was not read never returns to an idle pool.
+    fn gather<S, A>(
         &self,
-        i: usize,
-        fed: Option<&FedWalk>,
-        child: &Query,
-        pred: Predicate,
-        k: usize,
-        ranking: &dyn RankingFunction,
-    ) -> Result<(usize, Vec<ReturnedTuple>)> {
-        let Some(shard) = self.shards.get(i) else {
-            return Err(HdbError::Transport(format!("no such shard: {i}")));
-        };
-        if let Some(sw) = self.usable_walk(fed, i) {
-            if let Some((generation, client)) = shard.snapshot() {
-                if generation == sw.generation {
-                    match client.evaluate_from(&sw.state, child, pred, k, ranking) {
-                        Ok(ev) => return Ok((ev.count, ev.top)),
-                        Err(HdbError::Transport(_)) => shard.invalidate(generation),
-                        Err(e) => return Err(e),
-                    }
-                }
-            }
+        mut acc: A,
+        send: impl Fn(&ShardClient) -> S,
+        mut recv: impl FnMut(&mut A, &ShardClient, S) -> Result<()>,
+    ) -> Result<A> {
+        let sent: Vec<S> = self.shards.iter().map(|shard| send(shard)).collect();
+        for (shard, member) in self.shards.iter().zip(sent) {
+            recv(&mut acc, shard, member)?;
         }
-        let ev = shard.with_client(|c| c.evaluate(child, k, ranking))?;
-        Ok((ev.count, ev.top))
-    }
-
-    /// One shard's classification for an incremental probe (see
-    /// [`FederatedBackend::shard_eval_from`]).
-    fn shard_classify_from(
-        &self,
-        i: usize,
-        fed: Option<&FedWalk>,
-        child: &Query,
-        pred: Predicate,
-        k: usize,
-    ) -> Result<Classified> {
-        let Some(shard) = self.shards.get(i) else {
-            return Err(HdbError::Transport(format!("no such shard: {i}")));
-        };
-        if let Some(sw) = self.usable_walk(fed, i) {
-            if let Some((generation, client)) = shard.snapshot() {
-                if generation == sw.generation {
-                    match client.classify_from(&sw.state, child, pred, k) {
-                        Ok(c) => return Ok(c),
-                        Err(HdbError::Transport(_)) => shard.invalidate(generation),
-                        Err(e) => return Err(e),
-                    }
-                }
-            }
-        }
-        let ev = shard.with_client(|c| c.evaluate(child, k, &RowIdRanking))?;
-        Ok(Classified::from_evaluation(ev, k))
+        Ok(acc)
     }
 }
 
@@ -964,32 +966,48 @@ impl SearchBackend for FederatedBackend {
             snap.gauges
                 .insert(format!("hdb_fed_shard_state{{shard=\"{i}\"}}"), u64::from(*healthy));
         }
-        if let Some(pool) = &self.pool {
-            snap.counters.insert("hdb_pool_jobs_enqueued_total".into(), pool.jobs_enqueued());
-            snap.gauges
-                .insert("hdb_pool_queue_depth_high_water".into(), pool.queue_depth_high_water());
-        }
+        // The wire counters of the shards' current connections: a failover
+        // replaces a shard's client, so its share starts again from 0.
+        let (requests, retries) = self.shards.iter().filter_map(|s| s.snapshot()).fold(
+            (0, 0),
+            |(requests, retries), (_, client)| {
+                (requests + client.requests_sent(), retries + client.retries_sent())
+            },
+        );
+        snap.counters.insert("hdb_remote_requests_total".into(), requests);
+        snap.counters.insert("hdb_remote_retries_total".into(), retries);
     }
 
     fn evaluate(&self, q: &Query, k: usize, ranking: &dyn RankingFunction) -> Result<Evaluation> {
-        let partials = self.try_per_shard(|i| {
-            let Some(shard) = self.shards.get(i) else {
-                return Err(HdbError::Transport(format!("no such shard: {i}")));
-            };
-            let ev = shard.with_client(|c| c.evaluate(q, k, ranking))?;
-            Ok((ev.count, ev.top))
-        })?;
+        let partials = self.gather(
+            Vec::with_capacity(self.shards.len()),
+            |shard| shard.send_fresh(|c| c.send_evaluate(q, k, ranking)),
+            |partials, shard, member| {
+                let ev = shard.finish(
+                    member,
+                    |c, flight| c.recv_evaluate(flight),
+                    |c| c.evaluate(q, k, ranking),
+                )?;
+                partials.push((ev.count, ev.top));
+                Ok(())
+            },
+        )?;
         Ok(merge_partials(&self.schema, partials, k, ranking))
     }
 
     fn exact_count(&self, q: &Query) -> Result<usize> {
-        let counts = self.try_per_shard(|i| {
-            let Some(shard) = self.shards.get(i) else {
-                return Err(HdbError::Transport(format!("no such shard: {i}")));
-            };
-            shard.with_client(|c| c.exact_count(q))
-        })?;
-        Ok(counts.into_iter().sum())
+        self.gather(
+            0,
+            |shard| shard.send_fresh(|c| c.send_exact_count(q)),
+            |count, shard, member| {
+                *count += shard.finish(
+                    member,
+                    |c, flight| c.recv_exact_count(flight),
+                    |c| c.exact_count(q),
+                )?;
+                Ok(())
+            },
+        )
     }
 
     fn exact_sum(&self, attr: AttrId, q: &Query) -> Result<f64> {
@@ -999,50 +1017,71 @@ impl SearchBackend for FederatedBackend {
         // order), then fold the union in ascending global id order —
         // float addition is not associative and this sum must be
         // bit-identical to the single-table (and local-sharded) one.
-        let pages = self.try_per_shard(|i| {
-            let Some(shard) = self.shards.get(i) else {
-                return Err(HdbError::Transport(format!("no such shard: {i}")));
-            };
-            let all = shard.expected_len.max(1);
-            let ev = shard.with_client(|c| c.evaluate(q, all, &RowIdRanking))?;
-            if ev.count != ev.top.len() {
-                return Err(HdbError::Transport(format!(
-                    "shard {i} returned {} of {} matches for an exact sum",
-                    ev.top.len(),
-                    ev.count,
-                )));
-            }
-            let mut pairs: Vec<(TupleId, f64)> = Vec::with_capacity(ev.top.len());
-            for t in ev.top {
-                let Some(&v) = t.tuple.values().get(attr) else {
+        let mut values = self.gather(
+            Vec::new(),
+            |shard| shard.send_fresh(|c| c.send_evaluate(q, shard.expected_len.max(1), &RowIdRanking)),
+            |values: &mut Vec<(TupleId, f64)>, shard, member| {
+                let i = shard.index;
+                let all = shard.expected_len.max(1);
+                let ev = shard.finish(
+                    member,
+                    |c, flight| c.recv_evaluate(flight),
+                    |c| c.evaluate(q, all, &RowIdRanking),
+                )?;
+                if ev.count != ev.top.len() {
                     return Err(HdbError::Transport(format!(
-                        "shard {i} returned a tuple without attribute {attr}"
+                        "shard {i} returned {} of {} matches for an exact sum",
+                        ev.top.len(),
+                        ev.count,
                     )));
-                };
-                let x = a.numeric_value(v).ok_or_else(|| {
-                    HdbError::Transport(format!(
-                        "shard {i} returned non-numeric value {v} for attribute {attr}"
-                    ))
-                })?;
-                pairs.push((t.id, x));
-            }
-            Ok(pairs)
-        })?;
-        let mut values: Vec<(TupleId, f64)> = pages.into_iter().flatten().collect();
+                }
+                values.reserve(ev.top.len());
+                for t in ev.top {
+                    let Some(&v) = t.tuple.values().get(attr) else {
+                        return Err(HdbError::Transport(format!(
+                            "shard {i} returned a tuple without attribute {attr}"
+                        )));
+                    };
+                    let x = a.numeric_value(v).ok_or_else(|| {
+                        HdbError::Transport(format!(
+                            "shard {i} returned non-numeric value {v} for attribute {attr}"
+                        ))
+                    })?;
+                    values.push((t.id, x));
+                }
+                Ok(())
+            },
+        )?;
         values.sort_unstable_by_key(|&(id, _)| id);
         Ok(values.into_iter().map(|(_, v)| v).sum())
     }
 
     fn walk_state(&self, q: &Query) -> WalkState {
-        let shards = self.per_shard(|i| match self.shards.get(i).and_then(|s| s.snapshot()) {
-            Some((generation, client)) => {
-                ShardWalk { generation, state: client.walk_state(q) }
-            }
-            // Dark shard: no session; probes through this slice fail over
-            // and evaluate fresh (generation 0 never matches a slot).
-            None => ShardWalk { generation: 0, state: WalkState::fallback() },
-        });
-        WalkState::with_payload(FedWalk { shards })
+        let opened = self.gather(
+            Vec::with_capacity(self.shards.len()),
+            |shard| {
+                shard.snapshot().map(|(generation, client)| {
+                    let sent = client.send_walk_open(q);
+                    (generation, client, sent)
+                })
+            },
+            |walks, _, opening| {
+                walks.push(match opening {
+                    Some((generation, client, sent)) => {
+                        ShardWalk { generation, state: client.recv_walk_open(sent, q) }
+                    }
+                    // Dark shard: no session; probes through this slice
+                    // fail over and evaluate fresh (generation 0 never
+                    // matches a slot).
+                    None => ShardWalk { generation: 0, state: WalkState::fallback() },
+                });
+                Ok(())
+            },
+        );
+        match opened {
+            Ok(shards) => WalkState::with_payload(FedWalk { shards }),
+            Err(_) => WalkState::fallback(),
+        }
     }
 
     fn extend_state(
@@ -1055,29 +1094,26 @@ impl SearchBackend for FederatedBackend {
         let Some(fed) = parent.payload::<FedWalk>() else {
             return self.walk_state(child);
         };
-        let shards = self.per_shard(|i| {
-            let parent_walk = fed.shards.get(i);
-            match self.shards.get(i).and_then(|s| s.snapshot()) {
-                Some((generation, client)) => match parent_walk {
-                    // Still the connection that produced the parent state:
-                    // zero-RTT lazy extend (the RemoteBackend pends it).
-                    Some(sw) if sw.generation == generation => ShardWalk {
-                        generation,
-                        state: client.extend_state(
-                            &sw.state,
-                            child,
-                            pred,
-                            WalkState::fallback(),
-                        ),
-                    },
-                    // The shard failed over since: re-root a session at
-                    // the child on the new connection so the subtree
-                    // below stays incremental.
-                    _ => ShardWalk { generation, state: client.walk_state(child) },
+        let shards = self
+            .shards
+            .iter()
+            .zip(&fed.shards)
+            .map(|(shard, sw)| match shard.snapshot() {
+                // Still the connection that produced the parent state:
+                // zero-RTT lazy extend (the RemoteBackend pends it).
+                Some((generation, client)) if sw.generation == generation => ShardWalk {
+                    generation,
+                    state: client.extend_state(&sw.state, child, pred, WalkState::fallback()),
                 },
+                // The shard failed over since: re-root a session at the
+                // child on the new connection so the subtree below stays
+                // incremental.
+                Some((generation, client)) => {
+                    ShardWalk { generation, state: client.walk_state(child) }
+                }
                 None => ShardWalk { generation: 0, state: WalkState::fallback() },
-            }
-        });
+            })
+            .collect();
         WalkState::with_payload(FedWalk { shards })
     }
 
@@ -1090,8 +1126,21 @@ impl SearchBackend for FederatedBackend {
         ranking: &dyn RankingFunction,
     ) -> Result<Evaluation> {
         let fed = parent.payload::<FedWalk>();
-        let partials =
-            self.try_per_shard(|i| self.shard_eval_from(i, fed, child, pred, k, ranking))?;
+        let partials = self.gather(
+            Vec::with_capacity(self.shards.len()),
+            |shard| {
+                shard.send_walk(fed, |c, state| c.send_evaluate_from(state, child, pred, k, ranking))
+            },
+            |partials, shard, member| {
+                let ev = shard.finish(
+                    member,
+                    |c, sent| c.recv_evaluate_from(sent, child, pred, k, ranking),
+                    |c| c.evaluate(child, k, ranking),
+                )?;
+                partials.push((ev.count, ev.top));
+                Ok(())
+            },
+        )?;
         Ok(merge_partials(&self.schema, partials, k, ranking))
     }
 
@@ -1103,20 +1152,32 @@ impl SearchBackend for FederatedBackend {
         k: usize,
     ) -> Result<Classified> {
         let fed = parent.payload::<FedWalk>();
-        let parts =
-            self.try_per_shard(|i| self.shard_classify_from(i, fed, child, pred, k))?;
-        let count: usize = parts.iter().map(|c| c.count).sum();
-        let page = if (1..=k).contains(&count) {
+        let (count, mut page) = self.gather(
+            (0, Vec::new()),
+            |shard| shard.send_walk(fed, |c, state| c.send_classify_from(state, child, pred, k)),
+            |(count, page): &mut (usize, Vec<ReturnedTuple>), shard, member| {
+                let part = shard.finish(
+                    member,
+                    |c, sent| c.recv_classify_from(sent, child, pred, k),
+                    |c| Ok(Classified::from_evaluation(c.evaluate(child, k, &RowIdRanking)?, k)),
+                )?;
+                *count += part.count;
+                if page.is_empty() {
+                    *page = part.page;
+                } else {
+                    page.extend(part.page);
+                }
+                Ok(())
+            },
+        )?;
+        if (1..=k).contains(&count) {
             // Valid globally ⇒ every shard count ≤ k, so every non-empty
             // shard page is populated; their union is all matches, in
             // ascending global id order after the sort.
-            let mut page: Vec<ReturnedTuple> =
-                parts.into_iter().flat_map(|c| c.page).collect();
             page.sort_unstable_by_key(|t| t.id);
-            page
         } else {
-            Vec::new()
-        };
+            page = Vec::new();
+        }
         Ok(Classified { count, page })
     }
 }

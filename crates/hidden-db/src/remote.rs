@@ -12,7 +12,23 @@
 //! Connections are pooled: each request checks one out (opening a new
 //! socket only when the pool is empty), so concurrent estimation workers
 //! ride concurrent connections and a serial drill-down reuses one warm
-//! socket. The incremental walk fast path maps onto server-side sessions:
+//! socket.
+//!
+//! ## Send, then receive
+//!
+//! Every exchange is split in two. `send` encodes the request once, into
+//! a buffer that holds the whole frame (length prefix included), writes
+//! it on a checked-out connection and returns an in-flight handle owning
+//! that connection and those bytes. `recv` later reads the replies and
+//! checks the connection back in. A [`SearchBackend`] call is simply the
+//! two back to back; a [`FederatedBackend`](crate::FederatedBackend)
+//! instead sends one probe to every fleet member before it receives any,
+//! so the members' round trips overlap. A handle dropped unread closes
+//! its connection rather than pooling a socket with a reply still in it.
+//! If a pooled connection turns out stale, the handle re-sends its stored
+//! frame bytes on a fresh socket, without encoding again.
+//!
+//! The incremental walk fast path maps onto server-side sessions:
 //! [`SearchBackend::walk_state`] opens a session (the server materialises
 //! the root match set) and probes reference it by `(sid, level)`.
 //!
@@ -48,9 +64,9 @@ use crate::backend::{Classified, Evaluation, SearchBackend, WalkState};
 use crate::error::{HdbError, Result};
 use crate::obs::MetricsSnapshot;
 use crate::query::{Predicate, Query};
-use crate::ranking::{RankingFunction, RankingSpec};
+use crate::ranking::{RankingFunction, RankingSpec, RowIdRanking};
 use crate::schema::{AttrId, Schema};
-use crate::wire::{read_response, write_frame, Request, Response, PROTOCOL_VERSION};
+use crate::wire::{read_response, Request, Response, PROTOCOL_VERSION};
 
 /// Default cap on pooled idle connections.
 const DEFAULT_MAX_IDLE: usize = 8;
@@ -75,6 +91,22 @@ struct ClientCore {
     retries: AtomicU64,
 }
 
+/// A request frame written on a checked-out connection whose replies are
+/// not read yet: the handle between [`ClientCore::send`] and
+/// [`ClientCore::recv`]. It owns the connection and the frame bytes, so a
+/// stale pooled connection is retried by re-sending the same bytes on a
+/// fresh socket. Dropping it unread closes the connection — a socket
+/// with unread replies never goes back to the idle pool, where it would
+/// hand the next request a leftover reply.
+pub(crate) struct InFlight {
+    stream: TcpStream,
+    frame: Vec<u8>,
+    /// A failed exchange may be re-sent once on a fresh socket: the
+    /// stream came from the idle pool (the server may have dropped it
+    /// while idle) and the request is [`Request::replayable`].
+    retry: bool,
+}
+
 impl ClientCore {
     fn open(&self) -> Result<TcpStream> {
         let stream = TcpStream::connect(&self.addr)
@@ -87,132 +119,96 @@ impl ClientCore {
         Ok(stream)
     }
 
+    // Poison recovery throughout this file: the idle pool is a plain Vec
+    // of sockets with no cross-field invariant, so a panicked holder
+    // leaves it fully usable — recover instead of unwinding.
+    fn checkout(&self) -> Option<TcpStream> {
+        self.idle.lock().unwrap_or_else(|p| p.into_inner()).pop()
+    }
+
     fn checkin(&self, stream: TcpStream) {
-        // Poison recovery throughout this file: the idle pool is a plain
-        // Vec of sockets with no cross-field invariant, so a panicked
-        // holder leaves it fully usable — recover instead of unwinding.
         let mut idle = self.idle.lock().unwrap_or_else(|p| p.into_inner());
         if idle.len() < self.max_idle {
             idle.push(stream);
         } // else: drop (close) the surplus connection
     }
 
-    /// One request/response exchange on an open connection. Streamed
-    /// (chunked-page) responses are reassembled transparently.
-    fn roundtrip(&self, stream: &mut TcpStream, req: &Request) -> Result<Response> {
-        // Assemble the frame first so the request hits the wire in one
-        // write (one segment on loopback).
-        let mut framed = Vec::new();
-        write_frame(&mut framed, &req.encode()?)?;
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        stream
-            .write_all(&framed)
-            .map_err(|e| HdbError::Transport(format!("write failed: {e}")))?;
-        read_response(stream)?
-            .ok_or_else(|| HdbError::Transport("server closed the connection".into()))
-    }
-
-    /// One multi-request exchange: the pre-framed bytes go out in one
-    /// write, `n` responses come back (one per batch member).
-    fn exchange(&self, stream: &mut TcpStream, framed: &[u8], n: usize) -> Result<Vec<Response>> {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        stream
-            .write_all(framed)
-            .map_err(|e| HdbError::Transport(format!("write failed: {e}")))?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            let resp = read_response(stream)?.ok_or_else(|| {
-                HdbError::Transport("server closed the connection mid-batch".into())
-            })?;
-            out.push(resp);
+    /// Writes `req` as one frame on a pooled connection (a fresh one when
+    /// the pool is empty) and returns without reading the reply. The
+    /// stale-connection retry is gated on [`Request::replayable`]
+    /// **structurally**: a non-replayable request (`WalkOpen`, which
+    /// allocates a fresh session per send) gets exactly one attempt
+    /// whoever sends it, so no call site can double-apply an effect.
+    fn send(&self, req: &Request) -> Result<InFlight> {
+        let frame = req.encode_frame()?;
+        match self.checkout() {
+            Some(stream) => self.write(InFlight { stream, frame, retry: req.replayable() }),
+            None => self.write(InFlight { stream: self.open()?, frame, retry: false }),
         }
-        Ok(out)
     }
 
-    /// Sends `req` on a pooled connection, falling back to a fresh one if
-    /// the pooled socket turned out stale (the server may have dropped it
-    /// while idle). The single retry is gated on
-    /// [`Request::replayable`] **structurally** — a non-replayable
-    /// request (`WalkOpen`, which allocates a fresh session per send) is
-    /// routed through the single-attempt [`ClientCore::request_once`]
-    /// path no matter who calls, so no future call site can accidentally
-    /// double-apply an effect by picking the convenient method.
+    /// Puts a flight's frame on the wire in one write (one segment on
+    /// loopback); a retryable flight whose pooled socket refuses the
+    /// write moves to a fresh one.
+    fn write(&self, mut flight: InFlight) -> Result<InFlight> {
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        match flight.stream.write_all(&flight.frame) {
+            Ok(()) => Ok(flight),
+            Err(_) if flight.retry => self.resend(flight.frame),
+            Err(e) => Err(HdbError::Transport(format!("write failed: {e}"))),
+        }
+    }
+
+    /// The stale-connection retry: the same frame bytes on a fresh socket.
+    fn resend(&self, frame: Vec<u8>) -> Result<InFlight> {
+        self.retries.fetch_add(1, Ordering::Relaxed);
+        self.write(InFlight { stream: self.open()?, frame, retry: false })
+    }
+
+    /// Reads the reply to a one-request frame and checks the connection
+    /// back in. Streamed (chunked-page) replies are reassembled.
+    fn recv(&self, flight: InFlight) -> Result<Response> {
+        self.recv_with(flight, read_reply)
+    }
+
+    /// Reads the `n` replies to a `Batch` frame, in member order. A retry
+    /// re-sends the **whole** frame, which is safe because it is gated on
+    /// every member being replayable: extends replay idempotently (the
+    /// server truncates the stack to the parent before pushing, so a batch
+    /// whose fused probe already committed converges to the same stack on
+    /// the second pass) and probes are reads.
+    fn recv_batch(&self, flight: InFlight, n: usize) -> Result<Vec<Response>> {
+        self.recv_with(flight, |stream| (0..n).map(|_| read_reply(stream)).collect())
+    }
+
+    fn recv_with<T>(
+        &self,
+        flight: InFlight,
+        read: impl Fn(&mut TcpStream) -> Result<T>,
+    ) -> Result<T> {
+        let InFlight { mut stream, frame, retry } = flight;
+        let got = match read(&mut stream) {
+            Err(_) if retry => {
+                // Stale pooled connection: drop it, replay on a fresh one.
+                stream = self.resend(frame)?.stream;
+                read(&mut stream)?
+            }
+            got => got?,
+        };
+        self.checkin(stream);
+        Ok(got)
+    }
+
+    /// One request/response exchange: [`ClientCore::send`] then
+    /// [`ClientCore::recv`].
     fn request(&self, req: &Request) -> Result<Response> {
-        if !req.replayable() {
-            return self.request_once(req);
-        }
-        let pooled = self.idle.lock().unwrap_or_else(|p| p.into_inner()).pop();
-        if let Some(mut stream) = pooled {
-            if let Ok(resp) = self.roundtrip(&mut stream, req) {
-                self.checkin(stream);
-                return Ok(resp);
-            }
-            // stale pooled connection: drop it and retry fresh below
-            self.retries.fetch_add(1, Ordering::Relaxed);
-        }
-        let mut stream = self.open()?;
-        let resp = self.roundtrip(&mut stream, req)?;
-        self.checkin(stream);
-        Ok(resp)
+        self.recv(self.send(req)?)
     }
+}
 
-    /// Sends several requests in one frame (a singleton skips the batch
-    /// wrapper) and reads one response per member, in member order, with
-    /// the same stale-retry as [`ClientCore::request`]. The retry
-    /// re-sends the **whole** frame, so it is gated on every member being
-    /// [`Request::replayable`]: extends replay idempotently (the server
-    /// truncates the stack to the parent before pushing, so a batch whose
-    /// fused probe already committed server-side converges to the same
-    /// stack on the second pass) and probes are reads — but a frame
-    /// carrying a non-replayable member gets exactly one attempt.
-    fn request_many(&self, reqs: Vec<Request>) -> Result<Vec<Response>> {
-        let n = reqs.len();
-        let replayable = reqs.iter().all(Request::replayable);
-        let mut reqs = reqs;
-        let payload = match n {
-            0 => return Ok(Vec::new()),
-            1 => match reqs.pop() {
-                Some(req) => req.encode()?,
-                None => return Ok(Vec::new()),
-            },
-            _ => Request::Batch(reqs).encode()?,
-        };
-        let mut framed = Vec::new();
-        write_frame(&mut framed, &payload)?;
-        let pooled = self.idle.lock().unwrap_or_else(|p| p.into_inner()).pop();
-        if let Some(mut stream) = pooled {
-            match self.exchange(&mut stream, &framed, n) {
-                Ok(resps) => {
-                    self.checkin(stream);
-                    return Ok(resps);
-                }
-                Err(e) if !replayable => return Err(e),
-                Err(_) => {
-                    // stale pooled connection: retry fresh below
-                    self.retries.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        let mut stream = self.open()?;
-        let resps = self.exchange(&mut stream, &framed, n)?;
-        self.checkin(stream);
-        Ok(resps)
-    }
-
-    /// [`ClientCore::request`] without the stale-connection retry, for
-    /// requests with server-side effects (`WalkOpen`): a retry after a
-    /// processed-but-unanswered attempt would leak an orphan session into
-    /// the server's table. Failing is fine — the caller falls back to
-    /// fresh evaluation.
-    fn request_once(&self, req: &Request) -> Result<Response> {
-        let mut stream = match self.idle.lock().unwrap_or_else(|p| p.into_inner()).pop() {
-            Some(stream) => stream,
-            None => self.open()?,
-        };
-        let resp = self.roundtrip(&mut stream, req)?;
-        self.checkin(stream);
-        Ok(resp)
-    }
+fn read_reply(stream: &mut TcpStream) -> Result<Response> {
+    read_response(stream)?
+        .ok_or_else(|| HdbError::Transport("server closed the connection".into()))
 }
 
 /// Converts a protocol-level error response into `Err`, handing every
@@ -241,12 +237,11 @@ impl Drop for RemoteSessionHandle {
         // Close only over an already-idle connection: a drop must never
         // block on a dead server, and an unclosed session just ages out
         // of the server's LRU table.
-        let pooled = self.core.idle.lock().unwrap_or_else(|p| p.into_inner()).pop();
-        if let Some(mut stream) = pooled {
-            let core = Arc::clone(&self.core);
-            if core.roundtrip(&mut stream, &Request::WalkClose { sid: self.sid }).is_ok() {
-                self.core.checkin(stream);
-            }
+        let Some(stream) = self.core.checkout() else { return };
+        let Ok(frame) = Request::WalkClose { sid: self.sid }.encode_frame() else { return };
+        if let Ok(flight) = self.core.write(InFlight { stream, frame, retry: false }) {
+            // recv checks the connection back in only after a clean reply.
+            let _ = self.core.recv(flight);
         }
     }
 }
@@ -333,13 +328,38 @@ fn pending_pred(node: &RemoteNode) -> Option<Predicate> {
     }
 }
 
-/// What the batched resolution of a pending chain concluded.
-enum Resolved {
-    /// The probe's response (the chain committed up to it).
-    Probe(Response),
-    /// The session disappeared server-side; re-root and retry plainly.
-    Gone,
-    /// An extend was rejected with a typed error; fall back fresh.
+/// How the reply of a sent walk probe is to be read.
+enum Plan {
+    /// A fresh `Evaluate`: no usable server session behind the node.
+    Fresh,
+    /// A plain probe at a committed node.
+    Walk,
+    /// The pending extend chain (shallowest first, the probed node's
+    /// parent last) plus the fused probe: one reply per pending node,
+    /// each committed into its node as it is read.
+    Chain { session: Arc<RemoteSessionHandle>, pendings: Vec<Arc<RemoteNode>> },
+}
+
+/// A walk probe whose request is on the wire and whose reply is unread —
+/// what [`RemoteBackend`]'s `send_*_from` methods return and the matching
+/// `recv_*_from` methods consume, so a caller can put several servers'
+/// probes on the wire before it waits for any of them.
+pub(crate) struct Sent {
+    flight: InFlight,
+    plan: Plan,
+}
+
+/// What the replies of a [`Sent`] probe came to.
+enum Settled {
+    /// The reply to a fresh `Evaluate`.
+    Fresh(Response),
+    /// The reply to a plain walk probe (possibly re-sent on a re-rooted
+    /// session).
+    Walk(Response),
+    /// The fused probe's reply; its chain is committed.
+    Fused(Response),
+    /// No usable session (an extend was rejected, or re-rooting after a
+    /// vanished session failed): evaluate fresh.
     Broken,
 }
 
@@ -493,133 +513,149 @@ impl RemoteBackend {
 
     /// Re-roots a walk node after its session vanished server-side:
     /// opens a fresh session whose root *is* the node's query, so probes
-    /// from the node stay incremental. Returns the new handle, or `None`
-    /// when the open failed (callers then evaluate fresh).
-    fn re_root(&self, node: &Arc<RemoteNode>) -> Option<Arc<RemoteSessionHandle>> {
-        match self.core.request_once(&Request::WalkOpen { root: node.query.clone() }) {
+    /// from the node stay incremental. Returns the new session id, or
+    /// `None` when the open failed (callers then evaluate fresh).
+    fn re_root(&self, node: &RemoteNode) -> Option<u64> {
+        match self.core.request(&Request::WalkOpen { root: node.query.clone() }) {
             Ok(Response::Session { sid }) => {
                 let session =
                     Arc::new(RemoteSessionHandle { core: Arc::clone(&self.core), sid });
-                node.set_state(NodeState::Committed { session: Arc::clone(&session), level: 0 });
-                Some(session)
+                node.set_state(NodeState::Committed { session, level: 0 });
+                Some(sid)
             }
             _ => None,
         }
     }
 
-    /// Sends the pending chain plus the probe in one exchange and
-    /// commits each acknowledged extend into its node. `make_probe`
-    /// builds the final (fused) request from `(sid, parent_level)`;
-    /// `probe_of` extracts and commits the fused response.
-    fn resolve_chain(
+    /// Plans a walk probe from `parent` and writes its frame without
+    /// waiting for the reply. `fresh()` builds the fresh evaluation used
+    /// when no server session is usable, `walk(sid, level)` the plain
+    /// probe at a committed node, and `fused(sid, level, ext_child,
+    /// ext_pred)` the fused extend-and-probe that ends a pending chain —
+    /// sent alone when one extend is pending, else as the last member of
+    /// a `Batch` behind the other extends.
+    fn send_probe(
         &self,
-        session: &Arc<RemoteSessionHandle>,
-        base_level: u32,
-        pendings: &[Arc<RemoteNode>],
-        make_probe: impl FnOnce(u64, u32, Query, Predicate) -> Request,
-    ) -> Result<Resolved> {
-        let sid = session.sid;
-        let mut reqs = Vec::with_capacity(pendings.len());
-        let mut level = base_level;
-        let Some((last, body)) = pendings.split_last() else {
-            return Ok(Resolved::Broken);
-        };
-        for node in body {
-            let Some(pred) = pending_pred(node) else {
-                // Concurrently committed under us — rare; degrade fresh.
-                return Ok(Resolved::Broken);
-            };
-            reqs.push(Request::WalkExtend {
-                sid,
-                parent_level: level,
-                child: node.query.clone(),
-                pred,
-            });
-            level += 1;
-        }
-        let Some(last_pred) = pending_pred(last) else {
-            return Ok(Resolved::Broken);
-        };
-        reqs.push(make_probe(sid, level, last.query.clone(), last_pred));
-        let resps = self.core.request_many(reqs)?;
-        if resps.len() != pendings.len() {
-            return Err(HdbError::Transport(format!(
-                "protocol error: {} responses to a {}-member batch",
-                resps.len(),
-                pendings.len()
-            )));
-        }
-        let mut resps = resps.into_iter();
-        for node in body {
-            match resps.next() {
-                Some(Response::Level { level }) => {
-                    node.set_state(NodeState::Committed {
-                        session: Arc::clone(session),
-                        level,
-                    });
-                }
-                Some(Response::SessionGone) => return Ok(Resolved::Gone),
-                Some(_) | None => {
-                    node.set_state(NodeState::Broken);
-                    return Ok(Resolved::Broken);
+        parent: &WalkState,
+        fresh: impl FnOnce() -> Request,
+        walk: impl FnOnce(u64, u32) -> Request,
+        fused: impl FnOnce(u64, u32, Query, Predicate) -> Request,
+    ) -> Result<Sent> {
+        let anchor = parent.payload::<RemoteWalk>().map_or(Anchor::Fresh, |w| anchor_of(&w.node));
+        let (req, plan) = match anchor {
+            Anchor::Fresh => (fresh(), Plan::Fresh),
+            Anchor::Chain { session, level, pendings } if pendings.is_empty() => {
+                (walk(session.sid, level), Plan::Walk)
+            }
+            Anchor::Chain { session, level, pendings } => {
+                match chain_request(session.sid, level, &pendings, fused) {
+                    Some(req) => (req, Plan::Chain { session, pendings }),
+                    // Concurrently committed under us — rare; degrade fresh.
+                    None => (fresh(), Plan::Fresh),
                 }
             }
-        }
-        match resps.next() {
-            Some(Response::SessionGone) => Ok(Resolved::Gone),
-            Some(resp) => Ok(Resolved::Probe(resp)),
-            None => Ok(Resolved::Broken),
-        }
-    }
-}
-
-impl SearchBackend for RemoteBackend {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    fn evaluate(&self, q: &Query, k: usize, ranking: &dyn RankingFunction) -> Result<Evaluation> {
-        let req = Request::Evaluate {
-            query: q.clone(),
-            k: k as u64,
-            ranking: Self::spec_of(ranking)?,
         };
-        match ok_or_err(self.core.request(&req)?)? {
-            Response::Evaluation(ev) => Ok(ev),
-            other => Err(unexpected("Evaluation", &other)),
+        Ok(Sent { flight: self.core.send(&req)?, plan })
+    }
+
+    /// Reads a sent probe's replies and commits each acknowledged extend
+    /// into its node. A session that vanished server-side is re-rooted at
+    /// the probed node's parent and the plain probe `walk(sid, 0)` re-sent
+    /// there — the one serial round trip this path can add.
+    fn settle(&self, sent: Sent, walk: impl FnOnce(u64, u32) -> Request) -> Result<Settled> {
+        let Sent { flight, plan } = sent;
+        let (session, pendings) = match plan {
+            Plan::Fresh => return Ok(Settled::Fresh(self.core.recv(flight)?)),
+            Plan::Walk => return Ok(Settled::Walk(self.core.recv(flight)?)),
+            Plan::Chain { session, pendings } => (session, pendings),
+        };
+        let Some((last, body)) = pendings.split_last() else {
+            return Ok(Settled::Broken);
+        };
+        let probe = if body.is_empty() {
+            self.core.recv(flight)?
+        } else {
+            let mut resps = self.core.recv_batch(flight, pendings.len())?.into_iter();
+            for node in body {
+                match resps.next() {
+                    Some(Response::Level { level }) => node.set_state(NodeState::Committed {
+                        session: Arc::clone(&session),
+                        level,
+                    }),
+                    Some(Response::SessionGone) => return self.re_probe(last, walk),
+                    Some(_) | None => {
+                        node.set_state(NodeState::Broken);
+                        return Ok(Settled::Broken);
+                    }
+                }
+            }
+            match resps.next() {
+                Some(resp) => resp,
+                None => return Ok(Settled::Broken),
+            }
+        };
+        match &probe {
+            Response::SessionGone => return self.re_probe(last, walk),
+            Response::ExtendClassified { level, .. } | Response::ExtendEvaluation { level, .. } => {
+                last.set_state(NodeState::Committed { session, level: *level });
+            }
+            _ => {}
+        }
+        Ok(Settled::Fused(probe))
+    }
+
+    /// Re-roots `node` and re-sends the plain probe from it.
+    fn re_probe(&self, node: &RemoteNode, walk: impl FnOnce(u64, u32) -> Request) -> Result<Settled> {
+        match self.re_root(node) {
+            Some(sid) => Ok(Settled::Walk(self.core.request(&walk(sid, 0))?)),
+            None => Ok(Settled::Broken),
         }
     }
 
-    fn fill_metrics(&self, snap: &mut MetricsSnapshot) {
-        snap.counters.insert("hdb_remote_requests_total".into(), self.requests_sent());
-        snap.counters.insert("hdb_remote_retries_total".into(), self.retries_sent());
+    /// Writes a fresh [`SearchBackend::evaluate`] request; read it with
+    /// [`RemoteBackend::recv_evaluate`].
+    pub(crate) fn send_evaluate(
+        &self,
+        q: &Query,
+        k: usize,
+        ranking: &dyn RankingFunction,
+    ) -> Result<InFlight> {
+        let ranking = Self::spec_of(ranking)?;
+        self.core.send(&Request::Evaluate { query: q.clone(), k: k as u64, ranking })
     }
 
-    fn exact_count(&self, q: &Query) -> Result<usize> {
-        match ok_or_err(self.core.request(&Request::ExactCount { query: q.clone() })?)? {
+    /// Reads the reply of [`RemoteBackend::send_evaluate`].
+    pub(crate) fn recv_evaluate(&self, flight: InFlight) -> Result<Evaluation> {
+        evaluation_of(self.core.recv(flight)?)
+    }
+
+    /// Writes a [`SearchBackend::exact_count`] request; read it with
+    /// [`RemoteBackend::recv_exact_count`].
+    pub(crate) fn send_exact_count(&self, q: &Query) -> Result<InFlight> {
+        self.core.send(&Request::ExactCount { query: q.clone() })
+    }
+
+    /// Reads the reply of [`RemoteBackend::send_exact_count`].
+    pub(crate) fn recv_exact_count(&self, flight: InFlight) -> Result<usize> {
+        match ok_or_err(self.core.recv(flight)?)? {
             Response::Count(n) => usize::try_from(n)
                 .map_err(|_| HdbError::Transport("count overflows usize".into())),
             other => Err(unexpected("Count", &other)),
         }
     }
 
-    fn exact_sum(&self, attr: AttrId, q: &Query) -> Result<f64> {
-        let req = Request::ExactSum { attr: attr as u64, query: q.clone() };
-        match ok_or_err(self.core.request(&req)?)? {
-            Response::Sum(x) => Ok(x),
-            other => Err(unexpected("Sum", &other)),
-        }
+    /// Writes the `WalkOpen` of [`SearchBackend::walk_state`]; finish it
+    /// with [`RemoteBackend::recv_walk_open`].
+    pub(crate) fn send_walk_open(&self, q: &Query) -> Result<InFlight> {
+        self.core.send(&Request::WalkOpen { root: q.clone() })
     }
 
-    fn walk_state(&self, q: &Query) -> WalkState {
-        // A failed open falls back to fresh evaluation: correctness is
-        // preserved and a genuinely dead server will surface a Transport
-        // error on the next charged probe.
-        match self.core.request_once(&Request::WalkOpen { root: q.clone() }) {
+    /// Reads the reply of [`RemoteBackend::send_walk_open`]. A failed
+    /// open falls back to fresh evaluation: correctness is preserved and
+    /// a genuinely dead server will surface a Transport error on the next
+    /// charged probe.
+    pub(crate) fn recv_walk_open(&self, sent: Result<InFlight>, q: &Query) -> WalkState {
+        match sent.and_then(|flight| self.core.recv(flight)) {
             Ok(Response::Session { sid }) => WalkState::with_payload(RemoteWalk {
                 node: Arc::new(RemoteNode {
                     query: q.clone(),
@@ -635,6 +671,209 @@ impl SearchBackend for RemoteBackend {
             }),
             _ => WalkState::fallback(),
         }
+    }
+
+    /// Writes the probe of [`SearchBackend::evaluate_from`]; read it with
+    /// [`RemoteBackend::recv_evaluate_from`].
+    pub(crate) fn send_evaluate_from(
+        &self,
+        parent: &WalkState,
+        child: &Query,
+        pred: Predicate,
+        k: usize,
+        ranking: &dyn RankingFunction,
+    ) -> Result<Sent> {
+        let spec = Self::spec_of(ranking)?;
+        self.send_probe(
+            parent,
+            || Request::Evaluate { query: child.clone(), k: k as u64, ranking: spec },
+            |sid, parent_level| Request::WalkEvaluate {
+                sid,
+                parent_level,
+                child: child.clone(),
+                pred,
+                k: k as u64,
+                ranking: spec,
+            },
+            |sid, parent_level, ext_child, ext_pred| Request::WalkExtendEvaluate {
+                sid,
+                parent_level,
+                ext_child,
+                ext_pred,
+                child: child.clone(),
+                pred,
+                k: k as u64,
+                ranking: spec,
+            },
+        )
+    }
+
+    /// Reads the replies of [`RemoteBackend::send_evaluate_from`].
+    pub(crate) fn recv_evaluate_from(
+        &self,
+        sent: Sent,
+        child: &Query,
+        pred: Predicate,
+        k: usize,
+        ranking: &dyn RankingFunction,
+    ) -> Result<Evaluation> {
+        let spec = Self::spec_of(ranking)?;
+        let walk = |sid, parent_level| Request::WalkEvaluate {
+            sid,
+            parent_level,
+            child: child.clone(),
+            pred,
+            k: k as u64,
+            ranking: spec,
+        };
+        match self.settle(sent, walk)? {
+            Settled::Fresh(resp) => evaluation_of(resp),
+            Settled::Walk(resp) => match ok_or_err(resp)? {
+                Response::Evaluation(ev) => Ok(ev),
+                Response::SessionGone => self.evaluate(child, k, ranking),
+                other => Err(unexpected("Evaluation", &other)),
+            },
+            Settled::Fused(resp) => match ok_or_err(resp)? {
+                Response::ExtendEvaluation { evaluation, .. } => Ok(evaluation),
+                other => Err(unexpected("ExtendEvaluation", &other)),
+            },
+            Settled::Broken => self.evaluate(child, k, ranking),
+        }
+    }
+
+    /// Writes the probe of [`SearchBackend::classify_from`]; read it with
+    /// [`RemoteBackend::recv_classify_from`].
+    pub(crate) fn send_classify_from(
+        &self,
+        parent: &WalkState,
+        child: &Query,
+        pred: Predicate,
+        k: usize,
+    ) -> Result<Sent> {
+        self.send_probe(
+            parent,
+            || Request::Evaluate { query: child.clone(), k: k as u64, ranking: RankingSpec::RowId },
+            |sid, parent_level| Request::WalkClassify {
+                sid,
+                parent_level,
+                child: child.clone(),
+                pred,
+                k: k as u64,
+            },
+            |sid, parent_level, ext_child, ext_pred| Request::WalkExtendClassify {
+                sid,
+                parent_level,
+                ext_child,
+                ext_pred,
+                child: child.clone(),
+                pred,
+                k: k as u64,
+            },
+        )
+    }
+
+    /// Reads the replies of [`RemoteBackend::send_classify_from`].
+    pub(crate) fn recv_classify_from(
+        &self,
+        sent: Sent,
+        child: &Query,
+        pred: Predicate,
+        k: usize,
+    ) -> Result<Classified> {
+        let fresh = || -> Result<Classified> {
+            Ok(Classified::from_evaluation(self.evaluate(child, k, &RowIdRanking)?, k))
+        };
+        let walk = |sid, parent_level| Request::WalkClassify {
+            sid,
+            parent_level,
+            child: child.clone(),
+            pred,
+            k: k as u64,
+        };
+        match self.settle(sent, walk)? {
+            Settled::Fresh(resp) => Ok(Classified::from_evaluation(evaluation_of(resp)?, k)),
+            Settled::Walk(resp) => match ok_or_err(resp)? {
+                Response::Classified(c) => Ok(c),
+                Response::SessionGone => fresh(),
+                other => Err(unexpected("Classified", &other)),
+            },
+            Settled::Fused(resp) => match ok_or_err(resp)? {
+                Response::ExtendClassified { classified, .. } => Ok(classified),
+                other => Err(unexpected("ExtendClassified", &other)),
+            },
+            Settled::Broken => fresh(),
+        }
+    }
+}
+
+/// The frame resolving a pending chain: the fused probe alone when one
+/// extend is pending, else a `Batch` of the other extends plus the fused
+/// probe. `None` when a node was committed concurrently.
+fn chain_request(
+    sid: u64,
+    base_level: u32,
+    pendings: &[Arc<RemoteNode>],
+    fused: impl FnOnce(u64, u32, Query, Predicate) -> Request,
+) -> Option<Request> {
+    let (last, body) = pendings.split_last()?;
+    let mut batch = if body.is_empty() { Vec::new() } else { Vec::with_capacity(pendings.len()) };
+    let mut level = base_level;
+    for node in body {
+        batch.push(Request::WalkExtend {
+            sid,
+            parent_level: level,
+            child: node.query.clone(),
+            pred: pending_pred(node)?,
+        });
+        level += 1;
+    }
+    let probe = fused(sid, level, last.query.clone(), pending_pred(last)?);
+    if batch.is_empty() {
+        return Some(probe);
+    }
+    batch.push(probe);
+    Some(Request::Batch(batch))
+}
+
+fn evaluation_of(resp: Response) -> Result<Evaluation> {
+    match ok_or_err(resp)? {
+        Response::Evaluation(ev) => Ok(ev),
+        other => Err(unexpected("Evaluation", &other)),
+    }
+}
+
+impl SearchBackend for RemoteBackend {
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn evaluate(&self, q: &Query, k: usize, ranking: &dyn RankingFunction) -> Result<Evaluation> {
+        self.recv_evaluate(self.send_evaluate(q, k, ranking)?)
+    }
+
+    fn fill_metrics(&self, snap: &mut MetricsSnapshot) {
+        snap.counters.insert("hdb_remote_requests_total".into(), self.requests_sent());
+        snap.counters.insert("hdb_remote_retries_total".into(), self.retries_sent());
+    }
+
+    fn exact_count(&self, q: &Query) -> Result<usize> {
+        self.recv_exact_count(self.send_exact_count(q)?)
+    }
+
+    fn exact_sum(&self, attr: AttrId, q: &Query) -> Result<f64> {
+        let req = Request::ExactSum { attr: attr as u64, query: q.clone() };
+        match ok_or_err(self.core.request(&req)?)? {
+            Response::Sum(x) => Ok(x),
+            other => Err(unexpected("Sum", &other)),
+        }
+    }
+
+    fn walk_state(&self, q: &Query) -> WalkState {
+        self.recv_walk_open(self.send_walk_open(q), q)
     }
 
     /// Zero round trips: the branch commitment is recorded client-side
@@ -668,64 +907,8 @@ impl SearchBackend for RemoteBackend {
         k: usize,
         ranking: &dyn RankingFunction,
     ) -> Result<Evaluation> {
-        let Some(walk) = parent.payload::<RemoteWalk>() else {
-            return self.evaluate(child, k, ranking);
-        };
-        let spec = Self::spec_of(ranking)?;
-        let plain = |sid: u64, parent_level: u32| -> Result<Evaluation> {
-            let req = Request::WalkEvaluate {
-                sid,
-                parent_level,
-                child: child.clone(),
-                pred,
-                k: k as u64,
-                ranking: spec,
-            };
-            match ok_or_err(self.core.request(&req)?)? {
-                Response::Evaluation(ev) => Ok(ev),
-                Response::SessionGone => self.evaluate(child, k, ranking),
-                other => Err(unexpected("Evaluation", &other)),
-            }
-        };
-        match anchor_of(&walk.node) {
-            Anchor::Fresh => self.evaluate(child, k, ranking),
-            Anchor::Chain { session, level, pendings } if pendings.is_empty() => {
-                plain(session.sid, level)
-            }
-            Anchor::Chain { session, level, pendings } => {
-                let resolved = self.resolve_chain(
-                    &session,
-                    level,
-                    &pendings,
-                    |sid, parent_level, ext_child, ext_pred| Request::WalkExtendEvaluate {
-                        sid,
-                        parent_level,
-                        ext_child,
-                        ext_pred,
-                        child: child.clone(),
-                        pred,
-                        k: k as u64,
-                        ranking: spec,
-                    },
-                )?;
-                match resolved {
-                    Resolved::Probe(resp) => match ok_or_err(resp)? {
-                        Response::ExtendEvaluation { level, evaluation } => {
-                            if let Some(last) = pendings.last() {
-                                last.set_state(NodeState::Committed { session, level });
-                            }
-                            Ok(evaluation)
-                        }
-                        other => Err(unexpected("ExtendEvaluation", &other)),
-                    },
-                    Resolved::Gone => match self.re_root(&walk.node) {
-                        Some(session) => plain(session.sid, 0),
-                        None => self.evaluate(child, k, ranking),
-                    },
-                    Resolved::Broken => self.evaluate(child, k, ranking),
-                }
-            }
-        }
+        let sent = self.send_evaluate_from(parent, child, pred, k, ranking)?;
+        self.recv_evaluate_from(sent, child, pred, k, ranking)
     }
 
     fn classify_from(
@@ -735,66 +918,7 @@ impl SearchBackend for RemoteBackend {
         pred: Predicate,
         k: usize,
     ) -> Result<Classified> {
-        let fresh = || -> Result<Classified> {
-            Ok(Classified::from_evaluation(
-                self.evaluate(child, k, &crate::ranking::RowIdRanking)?,
-                k,
-            ))
-        };
-        let Some(walk) = parent.payload::<RemoteWalk>() else {
-            return fresh();
-        };
-        let plain = |sid: u64, parent_level: u32| -> Result<Classified> {
-            let req = Request::WalkClassify {
-                sid,
-                parent_level,
-                child: child.clone(),
-                pred,
-                k: k as u64,
-            };
-            match ok_or_err(self.core.request(&req)?)? {
-                Response::Classified(c) => Ok(c),
-                Response::SessionGone => fresh(),
-                other => Err(unexpected("Classified", &other)),
-            }
-        };
-        match anchor_of(&walk.node) {
-            Anchor::Fresh => fresh(),
-            Anchor::Chain { session, level, pendings } if pendings.is_empty() => {
-                plain(session.sid, level)
-            }
-            Anchor::Chain { session, level, pendings } => {
-                let resolved = self.resolve_chain(
-                    &session,
-                    level,
-                    &pendings,
-                    |sid, parent_level, ext_child, ext_pred| Request::WalkExtendClassify {
-                        sid,
-                        parent_level,
-                        ext_child,
-                        ext_pred,
-                        child: child.clone(),
-                        pred,
-                        k: k as u64,
-                    },
-                )?;
-                match resolved {
-                    Resolved::Probe(resp) => match ok_or_err(resp)? {
-                        Response::ExtendClassified { level, classified } => {
-                            if let Some(last) = pendings.last() {
-                                last.set_state(NodeState::Committed { session, level });
-                            }
-                            Ok(classified)
-                        }
-                        other => Err(unexpected("ExtendClassified", &other)),
-                    },
-                    Resolved::Gone => match self.re_root(&walk.node) {
-                        Some(session) => plain(session.sid, 0),
-                        None => fresh(),
-                    },
-                    Resolved::Broken => fresh(),
-                }
-            }
-        }
+        let sent = self.send_classify_from(parent, child, pred, k)?;
+        self.recv_classify_from(sent, child, pred, k)
     }
 }

@@ -726,6 +726,57 @@ impl Request {
         Ok(e.into_bytes())
     }
 
+    /// Encodes this request as one whole frame — the bytes
+    /// [`write_frame`] would emit for [`Request::encode`]'s payload — into
+    /// a single buffer allocated once at an upper bound of the frame size,
+    /// so a client can send it in one write and re-send it unchanged.
+    ///
+    /// # Errors
+    /// As [`Request::encode`], plus [`HdbError::Transport`] when the
+    /// payload exceeds [`MAX_FRAME_LEN`].
+    pub fn encode_frame(&self) -> Result<Vec<u8>> {
+        let mut e = Enc { buf: Vec::with_capacity(4 + self.payload_len_bound()) };
+        e.u32(0); // length prefix, patched below
+        self.enc_into(&mut e, true)?;
+        let len = e.buf.len().saturating_sub(4);
+        if len > MAX_FRAME_LEN {
+            return Err(HdbError::Transport(format!(
+                "frame payload of {len} bytes exceeds the {MAX_FRAME_LEN}-byte cap"
+            )));
+        }
+        let prefix = u32::try_from(len).map_err(|_| oversize("frame payload"))?;
+        if let Some(head) = e.buf.get_mut(..4) {
+            head.copy_from_slice(&prefix.to_le_bytes());
+        }
+        Ok(e.into_bytes())
+    }
+
+    /// An upper bound on the encoded payload size: 64 bytes cover the
+    /// largest fixed part of any message (tag, sid, level, two
+    /// predicates, k and a ranking), and a query costs a 4-byte count
+    /// plus 10 bytes per predicate.
+    fn payload_len_bound(&self) -> usize {
+        const FIXED: usize = 64;
+        let q = |q: &Query| 4 + 10 * q.predicates().len();
+        match self {
+            Self::Evaluate { query, .. }
+            | Self::ExactCount { query }
+            | Self::ExactSum { query, .. }
+            | Self::WalkOpen { root: query }
+            | Self::WalkExtend { child: query, .. }
+            | Self::WalkEvaluate { child: query, .. }
+            | Self::WalkClassify { child: query, .. } => FIXED + q(query),
+            Self::WalkExtendEvaluate { ext_child, child, .. }
+            | Self::WalkExtendClassify { ext_child, child, .. } => FIXED + q(ext_child) + q(child),
+            Self::Batch(members) => {
+                FIXED + members.iter().map(Self::payload_len_bound).sum::<usize>()
+            }
+            Self::Hello { .. } | Self::Schema | Self::Len | Self::WalkClose { .. } | Self::Stats => {
+                FIXED
+            }
+        }
+    }
+
     fn enc_into(&self, e: &mut Enc, top: bool) -> Result<()> {
         match self {
             Self::Hello { version } => {
@@ -1455,6 +1506,13 @@ mod tests {
         for req in requests {
             let bytes = req.encode().unwrap();
             assert_eq!(Request::decode(&bytes).unwrap(), req);
+            // One-buffer framing emits write_frame's exact bytes and never
+            // outgrows its first allocation.
+            let frame = req.encode_frame().unwrap();
+            let mut framed = Vec::new();
+            write_frame(&mut framed, &bytes).unwrap();
+            assert_eq!(frame, framed, "{req:?}");
+            assert!(frame.len() <= 4 + req.payload_len_bound(), "{req:?}");
         }
     }
 

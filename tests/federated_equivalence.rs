@@ -84,7 +84,8 @@ proptest! {
     /// The acceptance criterion: estimator runs over a fleet of shard
     /// servers are bit-identical to a local `ShardedDb` with the same
     /// partitioning — incremental and fresh session modes, 1/2/4 engine
-    /// workers, serial and pooled shard fan-out.
+    /// workers. `FleetConfig::workers` is set to 1 or 2 but no longer
+    /// read: the shard fan-out is always the send-all-then-read gather.
     #[test]
     fn federated_estimator_runs_match_local_sharded_bitwise(
         (table, k, parts) in db_strategy(),

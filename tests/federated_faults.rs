@@ -16,6 +16,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use hdb_core::UnbiasedSizeEstimator;
+use hdb_interface::obs::{Clock, WallClock};
 use hdb_interface::wire::{read_response, write_frame, Request, Response};
 use hdb_interface::{
     FederatedBackend, FleetConfig, HdbError, HiddenDb, Predicate, Query, RankingSpec, Schema,
@@ -508,6 +509,195 @@ fn seeded_chaos_schedules_end_bit_identical_or_typed() {
             Err(other) => panic!("chaos seed {chaos_seed}: unexpected error {other:?}"),
         }
         assert_ledger_partition(&fed_db);
+        proxy.shutdown();
+    }
+}
+
+/// A fleet whose every member sits behind its own [`FaultProxy`] with
+/// `s2c` as the server→client schedule; the client→server direction
+/// stays clean. Returns the servers, the proxies and the topology.
+fn proxied_fleet(
+    table: &Table,
+    parts: usize,
+    s2c: impl Fn(usize) -> FaultSchedule,
+) -> (Vec<RunningServer>, Vec<FaultProxy>, Topology) {
+    let (servers, _direct) = fleet(table, parts);
+    let mut proxies = Vec::new();
+    let mut topo = Topology::new();
+    for (i, server) in servers.iter().enumerate() {
+        let proxy =
+            FaultProxy::spawn(server.addr().to_string(), FaultSchedule::clean(), s2c(i)).unwrap();
+        topo.add_replica(i, proxy.addr());
+        proxies.push(proxy);
+    }
+    (servers, proxies, topo)
+}
+
+/// The gather overlaps the members' round trips: with every reply of
+/// both members delayed by `D`, one fleet probe finishes in well under
+/// `2·D` — a fan-out that asked the members one after the other could
+/// not. The answer stays bit-identical to a local `ShardedDb`.
+#[test]
+fn gathered_probe_overlaps_member_round_trips() {
+    const DELAY_MS: u64 = 200;
+    let t = table(64, 6);
+    let parts = 2;
+    // The handshake (Hello, Schema, Len) passes clean; every later reply
+    // is held back DELAY_MS.
+    let (_servers, mut proxies, topo) = proxied_fleet(&t, parts, |_| {
+        FaultSchedule::script_then(vec![Fault::Forward; 3], Fault::Delay(DELAY_MS))
+    });
+    let cfg = FleetConfig { io_timeout: Duration::from_secs(5), ..test_cfg() };
+    let fed_db = HiddenDb::over(FederatedBackend::connect_with(topo, cfg).unwrap(), 3);
+    let local = HiddenDb::over(ShardedDb::new(&t, parts), 3);
+
+    let clock = WallClock::new();
+    let mut lw = local.walk_session(Query::all()).unwrap();
+    let mut fw = fed_db.walk_session(Query::all()).unwrap();
+    let start = clock.now_nanos();
+    let got = fw.classify(0, 1).unwrap();
+    let elapsed_ms = (clock.now_nanos() - start) / 1_000_000;
+    assert_eq!(lw.classify(0, 1).unwrap(), got);
+    assert!(elapsed_ms >= DELAY_MS, "the replies were not delayed ({elapsed_ms} ms)");
+    assert!(
+        elapsed_ms < 2 * DELAY_MS,
+        "one probe over two members each delayed {DELAY_MS} ms took {elapsed_ms} ms: \
+         the round trips did not overlap"
+    );
+    for proxy in &mut proxies {
+        proxy.shutdown();
+    }
+}
+
+/// One member's connection is reset mid-gather — after both members'
+/// probes are on the wire — and its reconnect fails too, so with no
+/// retry budget the probe must either survive bit-identically or end in a
+/// typed error. Either way the healthy member's unread reply must not
+/// linger: every later probe reads its own reply and matches a local
+/// `ShardedDb` exactly. The walk is pinned deep enough that every probe
+/// is valid with a page of its own, so a reply read by the wrong probe
+/// shows.
+#[test]
+fn member_failing_mid_gather_leaves_no_stale_reply_behind() {
+    let t = table(256, 8);
+    let parts = 2;
+    let k = 8;
+    // Member 0: handshake and the session open pass, then the probe's
+    // first reply, its stale-connection replay and the reconnect's Hello
+    // are reset; everything after that is forwarded.
+    let (_servers, mut proxies, topo) = proxied_fleet(&t, parts, |i| {
+        if i == 0 {
+            let mut script = vec![Fault::Forward; 4];
+            script.extend([Fault::Reset; 3]);
+            FaultSchedule::script(script)
+        } else {
+            FaultSchedule::clean()
+        }
+    });
+    let cfg = FleetConfig { retries: 0, ..test_cfg() };
+    let fed_db = HiddenDb::over(FederatedBackend::connect_with(topo, cfg).unwrap(), k);
+    let local = HiddenDb::over(ShardedDb::new(&t, parts), k);
+
+    let mut lw = local.walk_session(Query::all()).unwrap();
+    let mut fw = fed_db.walk_session(Query::all()).unwrap();
+    // 16 rows have attributes 0..4 set; each probe below matches 8 of them.
+    for attr in 0..4 {
+        lw.extend(attr, 1);
+        fw.extend(attr, 1);
+    }
+    let expected = lw.classify(4, 1).unwrap();
+    match fw.classify(4, 1) {
+        Ok(got) => assert_eq!(expected, got, "a survived probe must be bit-identical"),
+        Err(HdbError::Transport(_)) => {}
+        Err(other) => panic!("expected a typed Transport error, got {other:?}"),
+    }
+    assert!(proxies[0].faults_injected() >= 1, "the reset must actually have fired");
+
+    for (attr, value) in [(4, 0), (5, 1), (5, 0), (6, 1), (6, 0), (7, 1), (7, 0), (4, 1)] {
+        assert_eq!(
+            lw.classify(attr, value).unwrap(),
+            fw.classify(attr, value).unwrap(),
+            "probe {attr}={value} after the failed gather read a stale reply"
+        );
+    }
+    assert_ledger_partition(&fed_db);
+    for proxy in &mut proxies {
+        proxy.shutdown();
+    }
+}
+
+/// A garbled reply from one member mid-gather fails that member over to
+/// its direct replica while the other member's reply is still waiting in
+/// its socket; the probe and every later one stay bit-identical.
+#[test]
+fn garbled_member_fails_over_mid_gather_bit_identically() {
+    let t = table(64, 6);
+    let parts = 2;
+    let (servers, mut proxies, mut topo) = proxied_fleet(&t, parts, |i| {
+        if i == 0 {
+            // Handshake and session open, then the first probe's reply
+            // and its stale-connection replay.
+            FaultSchedule::script(vec![
+                Fault::Forward,
+                Fault::Forward,
+                Fault::Forward,
+                Fault::Forward,
+                Fault::Garble,
+                Fault::Garble,
+            ])
+        } else {
+            FaultSchedule::clean()
+        }
+    });
+    topo.add_replica(0, servers[0].addr().to_string());
+    let fed_db = HiddenDb::over(FederatedBackend::connect_with(topo, test_cfg()).unwrap(), 2);
+    let local = HiddenDb::over(ShardedDb::new(&t, parts), 2);
+
+    let mut lw = local.walk_session(Query::all()).unwrap();
+    let mut fw = fed_db.walk_session(Query::all()).unwrap();
+    for attr in 0..t.schema().len() {
+        assert_eq!(lw.classify(attr, 1).unwrap(), fw.classify(attr, 1).unwrap(), "attr {attr}");
+    }
+    assert!(proxies[0].faults_injected() >= 1, "the garble must actually have fired");
+    assert!(fed_db.backend().failover_count() >= 1, "the garble is a recorded failover");
+    assert_ledger_partition(&fed_db);
+    for proxy in &mut proxies {
+        proxy.shutdown();
+    }
+}
+
+/// A `WalkOpen` is never re-sent, even inside a gather on a pooled
+/// connection: when member 0's open reply is lost, the server holds
+/// exactly the one session the lost open created, the client records no
+/// retry, and the walk degrades to fresh probes with unchanged answers.
+#[test]
+fn lost_walk_open_in_a_gather_is_never_resent() {
+    let t = table(64, 6);
+    let parts = 2;
+    // Member 0: handshake, then the WalkOpen's reply is reset.
+    let (servers, mut proxies, topo) = proxied_fleet(&t, parts, |i| {
+        if i == 0 {
+            FaultSchedule::script(vec![Fault::Forward, Fault::Forward, Fault::Forward, Fault::Reset])
+        } else {
+            FaultSchedule::clean()
+        }
+    });
+    let fed_db = HiddenDb::over(FederatedBackend::connect_with(topo, test_cfg()).unwrap(), 2);
+    let local = HiddenDb::over(ShardedDb::new(&t, parts), 2);
+
+    let mut fw = fed_db.walk_session(Query::all()).unwrap();
+    assert!(proxies[0].faults_injected() >= 1, "the reset must actually have fired");
+    let retries = fed_db.metrics().counters.get("hdb_remote_retries_total").copied();
+    assert_eq!(retries, Some(0), "a WalkOpen must never ride the stale-connection retry");
+    assert_eq!(servers[0].session_count(), 1, "the lost open was re-sent");
+    assert_eq!(servers[1].session_count(), 1);
+
+    let mut lw = local.walk_session(Query::all()).unwrap();
+    for attr in 0..t.schema().len() {
+        assert_eq!(lw.classify(attr, 0).unwrap(), fw.classify(attr, 0).unwrap(), "attr {attr}");
+    }
+    assert_ledger_partition(&fed_db);
+    for proxy in &mut proxies {
         proxy.shutdown();
     }
 }
